@@ -2,7 +2,7 @@
 //! workflow segment or back home, and `ForceEarlyReturn` resumption.
 
 use sod_net::SimCtx;
-use sod_vm::capture::CapturedValue;
+use sod_vm::capture::{CapturedState, CapturedValue};
 use sod_vm::tooling::jvmti;
 use sod_vm::value::Value;
 
@@ -93,7 +93,10 @@ impl Cluster {
             return;
         };
         w.phase = WorkerPhase::Done;
+        // The segment completed: its captured frames are never read again.
+        w.state = CapturedState::default();
         let (program, node, target, pop) = (w.program, w.node, w.return_to, w.home_pop_frames);
+        self.touch_session(sid);
         let dest = match target {
             ReturnTarget::Home { node } => node,
             ReturnTarget::Session { node, .. } => node,
@@ -157,6 +160,7 @@ impl Cluster {
                     t.frames.truncate(keep);
                     vm.force_early_return(tid, val).expect("force early return");
                 }
+                self.touch(home, tid);
                 let finished = self.nodes[home].vm.thread(tid).unwrap().is_finished();
                 if finished {
                     let v = match &self.nodes[home].vm.thread(tid).unwrap().state {
@@ -196,6 +200,7 @@ impl Cluster {
                     },
                 });
                 deliver_return(&mut self.nodes[node].vm, tid, val);
+                self.touch(node, tid);
                 ctx.schedule(1_000, node, Msg::RunSlice { tid });
             }
         }

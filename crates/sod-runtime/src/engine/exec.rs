@@ -8,7 +8,7 @@ use sod_vm::interp::{ExceptionInfo, RunMode, StepOutcome};
 use sod_vm::value::Value;
 
 use crate::costs;
-use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId};
+use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId, SessionId};
 use crate::trigger::Trigger;
 
 use super::session::{HomeSide, Owner, WorkerPhase};
@@ -69,6 +69,11 @@ impl Cluster {
         // interleaving on shared nodes, a global instruction counter would
         // charge every program for everyone's work.
         let retired = self.nodes[node].vm.instr_count - instr_before;
+        // A slice only changes this thread's own run state; once it parks,
+        // finishes or faults it stops competing for the node's CPU.
+        if !self.nodes[node].vm.threads[tid].is_runnable() {
+            self.touch(node, tid);
+        }
         self.defer(DeferredOp::AddInstructions(owner_program, retired));
         self.nodes[node].slices += 1;
         self.nodes[node].busy_ns += elapsed;
@@ -130,19 +135,37 @@ impl Cluster {
         }
     }
 
-    /// Threads genuinely competing for `node`'s CPU: runnable *and* owned
-    /// by something that still executes here. A frozen home thread (its
-    /// segment runs remotely), a finished program's thread, or an orphaned
-    /// worker thread stays `Runnable` in the VM but never receives a
-    /// slice, so counting it would charge phantom contention.
+    /// Threads genuinely competing for `node`'s CPU (at least 1): the
+    /// node's incrementally kept count, O(1) per slice. Debug builds check
+    /// it against a scan of every thread on the node.
     fn competing_threads(&self, node: usize) -> u64 {
-        let count = self.nodes[node]
+        #[cfg(debug_assertions)]
+        {
+            let scan = (0..self.nodes[node].vm.threads.len())
+                .filter(|&tid| self.competes(node, tid))
+                .count() as u64;
+            assert_eq!(
+                self.nodes[node].competing, scan,
+                "contention count on node {node} diverged from the thread scan \
+                 (a state change is missing its `touch`)"
+            );
+        }
+        self.nodes[node].competing.max(1)
+    }
+
+    /// Whether thread `tid` competes for `node`'s CPU: runnable *and*
+    /// owned by something that still executes here. A frozen home thread
+    /// (its segment runs remotely), a finished program's thread, or an
+    /// orphaned worker thread stays `Runnable` in the VM but never
+    /// receives a slice, so counting it would charge phantom contention.
+    fn competes(&self, node: usize, tid: usize) -> bool {
+        let runnable = self.nodes[node]
             .vm
             .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_runnable())
-            .filter(|(tid, _)| match self.thread_owner.get(&(node, *tid)) {
+            .get(tid)
+            .is_some_and(|t| t.is_runnable());
+        runnable
+            && match self.thread_owner.get(&(node, tid)) {
                 Some(Owner::Root(p)) => {
                     let p = &self.programs[*p as usize];
                     !p.done && !p.side.is_frozen()
@@ -152,9 +175,34 @@ impl Cluster {
                     .get(s)
                     .is_some_and(|w| !matches!(w.phase, WorkerPhase::Done)),
                 None => false,
-            })
-            .count() as u64;
-        count.max(1)
+            }
+    }
+
+    /// Re-derive whether `(node, tid)` competes for the node's CPU and
+    /// update the node's contention count. Called after every change to
+    /// an input of [`Cluster::competes`]: the thread's run state, its
+    /// owner entry, its program's `done`/frozen status, or its session
+    /// reaching `Done`.
+    pub(super) fn touch(&mut self, node: usize, tid: usize) {
+        let on = self.competes(node, tid);
+        self.nodes[node].set_competing(tid, on);
+    }
+
+    /// [`Cluster::touch`] for a program's root thread (no-op before the
+    /// program started).
+    pub(super) fn touch_root(&mut self, program: ProgramId) {
+        let p = &self.programs[program as usize];
+        let (home, tid) = (p.home, p.home_tid);
+        self.touch(home, tid);
+    }
+
+    /// [`Cluster::touch`] for a worker session's thread (no-op before its
+    /// restore spawned one, or once the session is gone).
+    pub(super) fn touch_session(&mut self, session: SessionId) {
+        if let Some(w) = self.sessions.get(&session) {
+            let (node, tid) = (w.node, w.tid);
+            self.touch(node, tid);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -448,6 +496,7 @@ impl Cluster {
                     self.fail_program(program, format!("class-load resume failed: {e:?}"), at);
                     return;
                 }
+                self.touch(node, tid);
                 ctx.schedule(
                     elapsed + self.nodes[node].cfg.scale(cost),
                     node,
@@ -535,6 +584,7 @@ impl Cluster {
                     rollback_to_statement_start(&mut self.nodes[node].vm, tid);
                     self.programs[program as usize].side =
                         HomeSide::PlanPending(MigrationPlan::top_to(cloud, height));
+                    self.touch(node, tid);
                     ctx.schedule(elapsed, node, Msg::RunSlice { tid });
                     return;
                 }
@@ -569,6 +619,7 @@ impl Cluster {
             _ => None,
         });
         self.snapshot_stack_height(program);
+        self.touch_root(program);
     }
 
     pub(super) fn fail_program(&mut self, program: ProgramId, error: String, at: u64) {
@@ -583,6 +634,7 @@ impl Cluster {
         // (`instructions` accrues per slice), so fleet aggregates over
         // mixed outcomes stay comparable.
         self.snapshot_stack_height(program);
+        self.touch_root(program);
     }
 
     /// Record the home thread's maximum stack height (Table I `h`) on the

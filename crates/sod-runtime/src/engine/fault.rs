@@ -185,6 +185,7 @@ impl Cluster {
             if let Ok(t) = self.nodes[node].vm.thread_mut(tid) {
                 t.state = sod_vm::interp::ThreadState::Runnable;
             }
+            self.touch(node, tid);
             ctx.schedule(0, node, Msg::RunSlice { tid });
         }
     }
@@ -232,5 +233,6 @@ impl Cluster {
         w.phase = WorkerPhase::Done;
         let key = (w.node, w.tid);
         self.thread_owner.remove(&key);
+        self.touch(key.0, key.1);
     }
 }

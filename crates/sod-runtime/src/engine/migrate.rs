@@ -221,6 +221,7 @@ impl Cluster {
 
         self.programs[program as usize].valid_sessions = sids;
         self.programs[program as usize].side = HomeSide::Frozen;
+        self.touch(node, tid);
         ctx.schedule(elapsed + capture_ns, node, Msg::CaptureDone { program });
     }
 
@@ -521,6 +522,7 @@ impl Cluster {
         };
         w.phase = WorkerPhase::Done;
         let program = w.program;
+        self.touch_session(session);
         self.defer(DeferredOp::FailProgram { program, error, at });
     }
 
@@ -618,8 +620,14 @@ impl Cluster {
         // Retire the old session & thread. The roamed session inherits
         // the old one's slot in the episode's valid set, so its arrival
         // and eventual home return pass the chaos staleness guards.
-        self.sessions.get_mut(&sid).unwrap().phase = WorkerPhase::Done;
+        {
+            let w = self.sessions.get_mut(&sid).unwrap();
+            w.phase = WorkerPhase::Done;
+            // The stack left with the capture above.
+            w.state = CapturedState::default();
+        }
         self.thread_owner.remove(&(node, tid));
+        self.touch(node, tid);
         self.defer(DeferredOp::ReplaceValidSession {
             program,
             old: sid,

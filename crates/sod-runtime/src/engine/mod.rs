@@ -673,6 +673,7 @@ impl Cluster {
                 if let Some(w) = self.sessions.get_mut(&sid) {
                     w.phase = WorkerPhase::Done;
                 }
+                self.touch_session(sid);
             }
             DeferredOp::ReplaceValidSession { program, old, new } => {
                 let p = &mut self.programs[program as usize];
@@ -930,6 +931,7 @@ impl World for Cluster {
                 self.programs[program as usize].started = true;
                 self.programs[program as usize].report.started_at_ns = ctx.now();
                 self.thread_owner.insert((dst, tid), Owner::Root(program));
+                self.touch(dst, tid);
                 ctx.schedule(0, dst, Msg::RunSlice { tid });
             }
             Msg::MigrateNow { program, plan } => {
@@ -946,6 +948,7 @@ impl World for Cluster {
             Msg::HostDone { tid, reply } => {
                 let v = materialize_reply(&mut self.nodes[dst].vm, reply);
                 self.nodes[dst].vm.resume_host(tid, v).expect("resume host");
+                self.touch(dst, tid);
                 ctx.schedule(0, dst, Msg::RunSlice { tid });
             }
             Msg::CaptureDone { program } => self.capture_done(program, ctx),

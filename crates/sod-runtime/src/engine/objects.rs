@@ -127,6 +127,7 @@ impl Cluster {
             .vm
             .resume_fetched(tid, local)
             .expect("resume fetched");
+        self.touch(node, tid);
         self.defer(DeferredOp::AddObjectFault(program, bytes));
         let cost = self.nodes[node].cfg.scale(costs::deserialize_ns(bytes));
         ctx.schedule(cost, node, Msg::RunSlice { tid });
@@ -243,9 +244,8 @@ impl Cluster {
         // Record master ids on the local copies.
         for (temp, home_id) in &assigned {
             let local = (temp - TEMP_ID_BASE) as ObjId;
-            if let Ok(o) = self.nodes[node].vm.heap.get_mut(local) {
-                o.home_id = Some(*home_id);
-            }
+            // An id the worker heap never held has no copy to tag.
+            let _ = self.nodes[node].vm.heap.set_home_id(local, *home_id);
         }
         let phase = std::mem::replace(
             &mut self.sessions.get_mut(&sid).unwrap().phase,
@@ -281,7 +281,7 @@ impl Cluster {
 /// Export a return value, assigning temp ids to worker-created objects.
 pub(super) fn export_with_temps(vm: &sod_vm::interp::Vm, v: Value) -> CapturedValue {
     match v {
-        Value::Ref(id) => match vm.heap.get(id).ok().and_then(|o| o.home_id) {
+        Value::Ref(id) => match vm.heap.get(id).ok().and_then(|o| o.home_id()) {
             Some(h) => CapturedValue::HomeRef(h),
             None => CapturedValue::HomeRef(TEMP_ID_BASE + id),
         },
@@ -316,7 +316,7 @@ pub(super) fn collect_flush(
             Ok(o) => o,
             Err(_) => continue,
         };
-        let include = obj.dirty || obj.home_id.is_none();
+        let include = obj.dirty || obj.home_id().is_none();
         if !include {
             continue;
         }

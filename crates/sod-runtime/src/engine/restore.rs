@@ -227,6 +227,7 @@ impl Cluster {
                     );
                     return;
                 }
+                self.touch(dst, tid);
                 ctx.schedule(load, dst, Msg::RunSlice { tid });
             }
         }
@@ -262,6 +263,7 @@ impl Cluster {
             let w = self.sessions.get_mut(&sid).unwrap();
             w.tid = tid;
             w.phase = WorkerPhase::Restoring { restored: 0 };
+            self.touch(node, tid);
             let fixed = self.nodes[node]
                 .cfg
                 .scale(costs::RESTORE_FIXED_NS + jvmti::JNI_INVOKE_NS);
@@ -297,6 +299,7 @@ impl Cluster {
                 w.phase = WorkerPhase::Running;
                 ctx.schedule(cost, node, Msg::RunSlice { tid });
             }
+            self.touch(node, tid);
             self.defer(DeferredOp::PushMigration(program, timings));
         }
     }
@@ -340,6 +343,7 @@ impl Cluster {
             .vm
             .throw_into(tid, ExKind::InvalidState, "restore", false)
             .expect("throw InvalidState");
+        self.touch(node, tid);
         let charge = self.nodes[node]
             .cfg
             .scale(jvmti::SET_BREAKPOINT_NS + jvmti::THROW_INTO_NS + costs::RESTORE_PER_FRAME_NS);

@@ -139,6 +139,13 @@ pub struct Node {
     /// Virtual time this node retired (drained pool member), if it did.
     /// Utilization denominators use the joined→retired lifetime.
     pub retired_at_ns: Option<u64>,
+    /// CPU-contention count: threads on this node that are runnable *and*
+    /// owned by work that still executes here (see the engine's
+    /// `Cluster::touch`). Kept incrementally so a contended slice reads
+    /// it in O(1) instead of walking every thread the VM ever spawned.
+    pub(crate) competing: u64,
+    /// Per-tid membership flag behind `competing` (index = VM tid).
+    competing_tids: Vec<bool>,
 }
 
 impl Node {
@@ -165,6 +172,28 @@ impl Node {
             inbound_sessions: 0,
             joined_at_ns: 0,
             retired_at_ns: None,
+            competing: 0,
+            competing_tids: Vec::new(),
+        }
+    }
+
+    /// Set whether thread `tid` competes for this node's CPU, keeping
+    /// `competing` equal to the number of flagged threads.
+    pub(crate) fn set_competing(&mut self, tid: usize, on: bool) {
+        if tid >= self.competing_tids.len() {
+            if !on {
+                return;
+            }
+            self.competing_tids.resize(tid + 1, false);
+        }
+        let flag = &mut self.competing_tids[tid];
+        if *flag != on {
+            *flag = on;
+            if on {
+                self.competing += 1;
+            } else {
+                self.competing -= 1;
+            }
         }
     }
 

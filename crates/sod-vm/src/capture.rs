@@ -124,7 +124,7 @@ impl CapturedStatics {
 }
 
 /// The unit SOD ships: a segment of frames (bottom-up) plus class statics.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CapturedState {
     /// Frames bottom-up: `frames[0]` is the oldest frame of the segment.
     pub frames: Vec<CapturedFrame>,

@@ -33,7 +33,8 @@
 //! miss a stop by skipping the mid-pair check. The second half is executed
 //! through the ordinary single-instruction path with the frame pc already
 //! advanced, so every throw/park records the same pc as unfused execution.
-//! Fused dispatch is bypassed entirely while any breakpoint is armed.
+//! Fused dispatch is bypassed for a thread while it has a breakpoint armed;
+//! breakpoints are thread-scoped, so other threads keep fusing.
 
 use crate::class::MethodDef;
 use crate::costs::instr_cost;

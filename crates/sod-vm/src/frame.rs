@@ -33,7 +33,9 @@ impl Frame {
             method_idx,
             pc: 0,
             locals: vec![Value::Int(0); nlocals as usize],
-            ostack: Vec::with_capacity(8),
+            // Sized on demand: the interpreter reserves the method's
+            // analysed `max_stack` when it pushes a callee frame.
+            ostack: Vec::new(),
             pinned: false,
         }
     }

@@ -15,6 +15,7 @@
 //! The heap also maintains a running byte total so a node memory budget can
 //! trigger guest `OutOfMemoryError`s (the paper's exception-driven offload).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::class::ExKind;
@@ -54,8 +55,10 @@ pub struct HeapObj {
     pub kind: ObjKind,
     pub status: ObjStatus,
     /// Identity of the master copy on the home node (home's `ObjId`), when
-    /// this entry is a migrated-in cache copy.
-    pub home_id: Option<ObjId>,
+    /// this entry is a migrated-in cache copy. Private: every write goes
+    /// through [`Heap::set_home_id`], which keeps the heap's home-id index
+    /// in step; read it with [`HeapObj::home_id`].
+    home_id: Option<ObjId>,
     /// Set by `PutField`/`AStore` after a migration restore; dirty objects
     /// are flushed home when the migrated segment completes.
     pub dirty: bool,
@@ -69,6 +72,11 @@ impl HeapObj {
             home_id: None,
             dirty: false,
         }
+    }
+
+    /// Identity of the master copy this entry caches, if any.
+    pub fn home_id(&self) -> Option<ObjId> {
+        self.home_id
     }
 
     /// Heap bytes charged for this entry (object header modelled at 16 B).
@@ -100,6 +108,10 @@ pub struct Heap {
     used_bytes: u64,
     /// Running count of allocations, for metrics.
     allocs: u64,
+    /// `home_id → lowest local id` caching it: the answer the first-match
+    /// scan over `entries` would give, kept in O(1) by
+    /// [`Heap::set_home_id`] (the only writer of `home_id`).
+    by_home: HashMap<ObjId, ObjId>,
 }
 
 impl Heap {
@@ -249,8 +261,43 @@ impl Heap {
         }
     }
 
-    /// Look up a cached copy of a home object, if one exists.
+    /// Record that local object `id` caches the home object `home_id`.
+    pub fn set_home_id(&mut self, id: ObjId, home_id: ObjId) -> VmResult<()> {
+        let old = self.get_mut(id)?.home_id.replace(home_id);
+        if old == Some(home_id) {
+            return Ok(());
+        }
+        let slot = self.by_home.entry(home_id).or_insert(id);
+        *slot = (*slot).min(id);
+        // Re-pointing an entry away from a home id it was the index's
+        // answer for: fall back to the next match (a rare path — cached
+        // copies are installed once and temp ids are assigned once).
+        if let Some(old) = old {
+            if self.by_home.get(&old) == Some(&id) {
+                match self.scan_cached(old) {
+                    Some(next) => self.by_home.insert(old, next),
+                    None => self.by_home.remove(&old),
+                };
+            }
+        }
+        Ok(())
+    }
+
+    /// Look up a cached copy of a home object, if one exists: the lowest
+    /// local id whose `home_id` matches.
     pub fn find_cached(&self, home_id: ObjId) -> Option<ObjId> {
+        let found = self.by_home.get(&home_id).copied();
+        debug_assert_eq!(
+            found,
+            self.scan_cached(home_id),
+            "home-id index diverged from the heap scan"
+        );
+        found
+    }
+
+    /// Linear first-match scan: the index's debug oracle and its repair
+    /// path.
+    fn scan_cached(&self, home_id: ObjId) -> Option<ObjId> {
         self.entries
             .iter()
             .position(|o| o.home_id == Some(home_id))
@@ -314,9 +361,33 @@ mod tests {
     fn cached_lookup_by_home_id() {
         let mut h = Heap::new();
         let a = h.alloc_obj("C", vec![]);
-        h.get_mut(a).unwrap().home_id = Some(77);
+        h.set_home_id(a, 77).unwrap();
         assert_eq!(h.find_cached(77), Some(a));
         assert_eq!(h.find_cached(78), None);
+    }
+
+    #[test]
+    fn cached_lookup_keeps_first_match_semantics() {
+        let mut h = Heap::new();
+        let a = h.alloc_obj("C", vec![]);
+        let b = h.alloc_obj("C", vec![]);
+        let c = h.alloc_obj("C", vec![]);
+        // Two copies of one home object: the lowest local id answers,
+        // whichever was recorded first.
+        h.set_home_id(c, 5).unwrap();
+        h.set_home_id(b, 5).unwrap();
+        assert_eq!(h.find_cached(5), Some(b));
+        // Re-pointing the answer elsewhere falls back to the next copy.
+        h.set_home_id(b, 6).unwrap();
+        assert_eq!(h.find_cached(5), Some(c));
+        assert_eq!(h.find_cached(6), Some(b));
+        h.set_home_id(c, 6).unwrap();
+        assert_eq!(h.find_cached(5), None);
+        assert_eq!(h.find_cached(6), Some(b));
+        h.set_home_id(a, 6).unwrap();
+        assert_eq!(h.find_cached(6), Some(a));
+        assert_eq!(h.get(a).unwrap().home_id(), Some(6));
+        assert!(h.set_home_id(99, 1).is_err());
     }
 
     #[test]

@@ -219,20 +219,17 @@ pub struct VmThread {
     /// [`INTERP_MODE_FACTOR`] (debugger active → interpreted mode during
     /// a handler-protocol restore).
     pub interp_mode: bool,
+    /// Armed breakpoints `(class_idx, method_idx, pc)` of this thread
+    /// alone. Thread-scoped storage keeps the cost where the breakpoint
+    /// is: a node hosting many concurrent handler-protocol restores only
+    /// slows the restoring threads, while every other thread keeps the
+    /// fused fast path and never scans the table.
+    breakpoints: Vec<(usize, usize, u32)>,
 }
 
 impl VmThread {
     fn new() -> Self {
-        VmThread {
-            frames: Vec::with_capacity(16),
-            state: ThreadState::Runnable,
-            pending_fault: None,
-            npe_origin_pc: None,
-            max_height: 0,
-            seg_frames: 0,
-            restore_session: None,
-            interp_mode: false,
-        }
+        VmThread::new_restored(Vec::new())
     }
 
     /// Build a runnable thread from pre-established frames (direct restore
@@ -248,7 +245,18 @@ impl VmThread {
             seg_frames: 0,
             restore_session: None,
             interp_mode: false,
+            breakpoints: Vec::new(),
         }
+    }
+
+    /// Mark the thread finished and release what only a live thread
+    /// needs: the (already empty) frame vector's capacity and any restore
+    /// session. Faulted threads keep their frames — exception-driven
+    /// offload rolls them back and captures them.
+    fn finish(&mut self, retval: Option<Value>) {
+        self.state = ThreadState::Finished(retval);
+        self.frames = Vec::new();
+        self.restore_session = None;
     }
 
     pub fn top(&self) -> Option<&Frame> {
@@ -333,11 +341,6 @@ pub struct Vm {
     interned: HashMap<String, ObjId>,
     /// Captured `print` output.
     pub stdout: Vec<String>,
-    /// Armed breakpoints (tid, class_idx, method_idx, pc). Thread-scoped:
-    /// with many migrated segments restoring concurrently on one node,
-    /// a breakpoint armed for one restoring thread must never trip on
-    /// another thread running the same method.
-    breakpoints: Vec<(usize, usize, usize, u32)>,
     /// Virtual nanoseconds of guest execution accumulated so far.
     pub meter_ns: u64,
     /// Instructions retired.
@@ -370,7 +373,6 @@ impl Vm {
             threads: Vec::new(),
             interned: HashMap::new(),
             stdout: Vec::new(),
-            breakpoints: Vec::new(),
             meter_ns: 0,
             instr_count: 0,
             cost_scale_per_mille: 1000,
@@ -445,16 +447,6 @@ impl Vm {
         self.threads.get_mut(tid).ok_or(VmError::BadThread(tid))
     }
 
-    /// Ids of runnable threads.
-    pub fn runnable_threads(&self) -> Vec<usize> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_runnable())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Strings
     // ------------------------------------------------------------------
@@ -467,7 +459,12 @@ impl Vm {
         use crate::capture::CapturedValue;
         match v {
             Value::Ref(id) => {
-                let home = self.heap.get(id).ok().and_then(|o| o.home_id).unwrap_or(id);
+                let home = self
+                    .heap
+                    .get(id)
+                    .ok()
+                    .and_then(|o| o.home_id())
+                    .unwrap_or(id);
                 CapturedValue::HomeRef(home)
             }
             other => CapturedValue::from_value(other),
@@ -490,20 +487,20 @@ impl Vm {
 
     /// Arm a breakpoint for thread `tid` at `(class, method, pc)`. Only
     /// `tid` stepping onto that location trips (and disarms) it; other
-    /// threads executing the same method pass through.
+    /// threads executing the same method pass through. Arming for a thread
+    /// that does not exist is a no-op (nothing could ever trip it).
     pub fn set_breakpoint(&mut self, tid: usize, class_idx: usize, method_idx: usize, pc: u32) {
-        if !self.breakpoints.contains(&(tid, class_idx, method_idx, pc)) {
-            self.breakpoints.push((tid, class_idx, method_idx, pc));
+        if let Some(t) = self.threads.get_mut(tid) {
+            if !t.breakpoints.contains(&(class_idx, method_idx, pc)) {
+                t.breakpoints.push((class_idx, method_idx, pc));
+            }
         }
     }
 
     pub fn clear_breakpoint(&mut self, tid: usize, class_idx: usize, method_idx: usize, pc: u32) {
-        self.breakpoints
-            .retain(|&b| b != (tid, class_idx, method_idx, pc));
-    }
-
-    pub fn breakpoints_armed(&self) -> usize {
-        self.breakpoints.len()
+        if let Some(t) = self.threads.get_mut(tid) {
+            t.breakpoints.retain(|&b| b != (class_idx, method_idx, pc));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -528,15 +525,12 @@ impl Vm {
         };
 
         // Breakpoint check happens before execution and disarms the point.
-        // The scan is skipped entirely when nothing is armed — the common
-        // case for every non-migrating slice.
-        if !self.breakpoints.is_empty() {
-            if let Some(bp_pos) = self
-                .breakpoints
-                .iter()
-                .position(|&(t, c, m, p)| (t, c, m, p) == (tid, ci, mi, pc))
-            {
-                self.breakpoints.swap_remove(bp_pos);
+        // The scan is skipped entirely when this thread has nothing armed —
+        // the common case for every non-restoring slice.
+        let bps = &mut self.threads[tid].breakpoints;
+        if !bps.is_empty() {
+            if let Some(bp_pos) = bps.iter().position(|&b| b == (ci, mi, pc)) {
+                bps.swap_remove(bp_pos);
                 return Ok(StepOutcome::Breakpoint {
                     class_idx: ci,
                     method_idx: mi,
@@ -560,13 +554,15 @@ impl Vm {
     }
 
     /// One dispatch inside a [`Vm::run`] slice: like [`Vm::step`], but when
-    /// no breakpoint is armed and the reference path is off, a fused
+    /// `tid` has no breakpoint armed and the reference path is off, a fused
     /// superinstruction cell at the current pc executes both halves —
     /// honouring `remaining_ns` between them, exactly where the unfused
-    /// loop would have checked its budget.
+    /// loop would have checked its budget. Breakpoints armed on *other*
+    /// threads never take this thread off the fast path.
     fn step_sliced(&mut self, tid: usize, remaining_ns: u64) -> VmResult<StepOutcome> {
-        if self.breakpoints.is_empty() && !self.slow_resolve {
-            match &self.thread(tid)?.state {
+        let t = self.thread(tid)?;
+        if t.breakpoints.is_empty() && !self.slow_resolve {
+            match &t.state {
                 ThreadState::Runnable => {}
                 ThreadState::Parked(_) => return Err(VmError::ThreadParked(tid)),
                 ThreadState::Finished(v) => return Ok(StepOutcome::Returned((*v).flatten_unit())),
@@ -596,8 +592,9 @@ impl Vm {
     /// Execute a fused pair: charge + retire the pure push, advance the pc,
     /// then (budget permitting) charge + retire the second half in place.
     /// The mid-pair pc is never a migration-safe point (the push leaves the
-    /// operand stack non-empty), and fused dispatch is disabled while any
-    /// breakpoint is armed, so no observer can tell the halves were fused.
+    /// operand stack non-empty), and fused dispatch is disabled while the
+    /// thread has a breakpoint armed, so no observer can tell the halves
+    /// were fused.
     fn exec_fused(
         &mut self,
         tid: usize,
@@ -1228,7 +1225,7 @@ impl Vm {
                                 Value::Null => None,
                                 Value::NulledRef(h) => Some((true, h)),
                                 Value::Ref(id) => {
-                                    match self.heap.get(id).ok().and_then(|o| o.home_id) {
+                                    match self.heap.get(id).ok().and_then(|o| o.home_id()) {
                                         Some(h) => Some((true, h)),
                                         None => Some((false, id)),
                                     }
@@ -1924,7 +1921,7 @@ impl Vm {
                 if let Value::Ref(id) = v {
                     let obj = self.heap.get(id)?;
                     if obj.status == crate::heap::ObjStatus::Invalid {
-                        let home = obj.home_id.ok_or(VmError::BadRef(id))?;
+                        let home = obj.home_id().ok_or(VmError::BadRef(id))?;
                         return self.park_fault(
                             tid,
                             ObjectQuery { home_id: home },
@@ -1995,6 +1992,13 @@ impl Vm {
         debug_assert_eq!(m.nargs as usize, nargs as usize, "arity mismatch");
         let nlocals = m.nlocals;
         let mut callee = Frame::new(target_ci, target_mi, nlocals);
+        // Reserve the statically analysed peak depth (the stack still grows
+        // if a handler path needs more): frozen home stacks and hosted
+        // segments keep their frames for a whole migration, so per-frame
+        // slack adds up on a busy node.
+        callee
+            .ostack
+            .reserve_exact(self.classes[target_ci].summaries[target_mi].max_stack as usize);
         {
             let caller = self.threads[tid].top_mut().unwrap();
             let n = caller.ostack.len();
@@ -2028,7 +2032,7 @@ impl Vm {
                 Ok(StepOutcome::Continue)
             }
             None => {
-                t.state = ThreadState::Finished(retval);
+                t.finish(retval);
                 Ok(StepOutcome::Returned(retval))
             }
         }
@@ -2069,9 +2073,7 @@ impl Vm {
                 }
                 t.state = ThreadState::Runnable;
             }
-            None => {
-                t.state = ThreadState::Finished(retval);
-            }
+            None => t.finish(retval),
         }
         Ok(())
     }
@@ -2548,8 +2550,8 @@ mod tests {
     #[test]
     fn armed_breakpoint_disables_fused_dispatch() {
         // Arm a breakpoint at the *second half* of a fusable (Load, PushI)
-        // pair. Fused dispatch must stand down while anything is armed, so
-        // run() still observes the mid-pair pc.
+        // pair. Fused dispatch must stand down while the thread has a
+        // breakpoint armed, so run() still observes the mid-pair pc.
         let classes = counter_program(3);
         let mut vm = vm_with(&classes);
         let tid = vm.spawn("Main", "main", &[]).unwrap();
@@ -2562,6 +2564,60 @@ mod tests {
         // Disarmed: the run completes and fused dispatch resumes.
         let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
         assert_eq!(out, StepOutcome::Returned(Some(Value::Int(3))));
+    }
+
+    #[test]
+    fn breakpoint_on_one_thread_leaves_others_untouched() {
+        // Thread A has a breakpoint armed at the second half of a fused
+        // pair; thread B runs the same method in tiny slices (fused pairs
+        // straddle the boundaries). B must be slice-for-slice identical
+        // to the same thread in a VM with no breakpoint at all, and A must
+        // still trip at its pc afterwards.
+        let classes = counter_program(10);
+        let mut armed = vm_with(&classes);
+        let mut clean = vm_with(&classes);
+        let a = armed.spawn("Main", "main", &[]).unwrap();
+        let b = armed.spawn("Main", "main", &[]).unwrap();
+        let _ = clean.spawn("Main", "main", &[]).unwrap();
+        let cb = clean.spawn("Main", "main", &[]).unwrap();
+        let main_ci = armed.class_idx("Main").unwrap();
+        armed.set_breakpoint(a, main_ci, 0, 5);
+        loop {
+            let (ao, aspent) = armed.run(b, 37, RunMode::Normal).unwrap();
+            let (co, cspent) = clean.run(cb, 37, RunMode::Normal).unwrap();
+            assert_eq!(ao, co);
+            assert_eq!(aspent, cspent);
+            assert_eq!(armed.meter_ns, clean.meter_ns);
+            assert_eq!(armed.instr_count, clean.instr_count);
+            if let StepOutcome::Returned(v) = ao {
+                assert_eq!(v, Some(Value::Int(10)));
+                break;
+            }
+        }
+        let (out, _) = armed.run(a, u64::MAX, RunMode::Normal).unwrap();
+        assert_eq!(
+            out,
+            StepOutcome::Breakpoint {
+                class_idx: main_ci,
+                method_idx: 0,
+                pc: 5
+            }
+        );
+        let (out, _) = armed.run(a, u64::MAX, RunMode::Normal).unwrap();
+        assert_eq!(out, StepOutcome::Returned(Some(Value::Int(10))));
+    }
+
+    #[test]
+    fn finished_thread_releases_its_frames() {
+        let classes = counter_program(2);
+        let mut vm = vm_with(&classes);
+        let tid = vm.spawn("Main", "main", &[]).unwrap();
+        let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
+        assert_eq!(out, StepOutcome::Returned(Some(Value::Int(2))));
+        let t = vm.thread(tid).unwrap();
+        assert!(t.is_finished());
+        assert_eq!(t.frames.capacity(), 0);
+        assert_eq!(t.max_height, 2);
     }
 
     #[test]

@@ -683,7 +683,7 @@ pub fn install_object(heap: &mut Heap, obj: &WireObject) -> VmResult<ObjId> {
         ObjKind::Str(s) => heap.alloc_str(s),
         ObjKind::Exception { .. } => unreachable!("wire bodies never decode to exceptions"),
     };
-    heap.get_mut(id)?.home_id = Some(obj.home_id);
+    heap.set_home_id(id, obj.home_id)?;
     Ok(id)
 }
 
@@ -699,7 +699,7 @@ pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireO
         vs.iter()
             .map(|v| {
                 Ok(match v {
-                    Value::Ref(r) => match heap.get(*r)?.home_id {
+                    Value::Ref(r) => match heap.get(*r)?.home_id() {
                         Some(h) => CapturedValue::HomeRef(h),
                         None => CapturedValue::HomeRef(temp_base + r),
                     },
@@ -719,7 +719,7 @@ pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireO
         ObjKind::Str(s) => WireObjBody::Str(s.clone()),
         ObjKind::Exception { message, .. } => WireObjBody::Str(message.clone()),
     };
-    let home_id = obj.home_id.unwrap_or(temp_base + id);
+    let home_id = obj.home_id().unwrap_or(temp_base + id);
     Ok(WireObject { home_id, body })
 }
 
