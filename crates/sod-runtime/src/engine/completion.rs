@@ -11,7 +11,7 @@ use crate::msg::{Msg, ProgramId, ReturnTarget, SessionId};
 
 use super::objects::{collect_flush, export_with_temps};
 use super::session::{HomeSide, WorkerPhase};
-use super::{Cluster, DeferredOp, CONTROL_MSG_BYTES, TEMP_ID_BASE};
+use super::{Cluster, CONTROL_MSG_BYTES, TEMP_ID_BASE};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -47,7 +47,7 @@ impl Cluster {
         let ser = costs::serialize_ns(flush_bytes.max(1));
         let cost = elapsed + self.nodes[node].cfg.scale(ser);
 
-        self.defer(DeferredOp::AddObjectBytes(program, flush_bytes));
+        self.programs[program as usize].report.object_bytes += flush_bytes;
         self.nodes[node].net_sent.object += flush_bytes;
 
         if needs_ack {

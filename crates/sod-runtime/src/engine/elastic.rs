@@ -3,8 +3,8 @@
 //!
 //! Each pool runs a controller loop as a self-rescheduling
 //! [`Msg::PoolTick`] timer on node 0, so every scaling decision happens at
-//! a definite point in the `(time, seq, dst)` delivery order — identical
-//! under both schedulers, and replayable bit-for-bit from the seed. A
+//! a definite point in the `(time, seq, dst)` delivery order, replayable
+//! bit-for-bit from the seed. A
 //! tick, in order:
 //!
 //! 1. tops the pool back up to its base size (crash replacement);
@@ -83,9 +83,7 @@ impl Cluster {
     /// capture path is decided before the member is.
     pub(super) fn dest_has_jvmti(&self, dest: usize) -> bool {
         if dest < POOL_DEST_BASE {
-            // Reachable from a parallel drain (plan capture on a worker
-            // shard): read the peer's profile, owned or snapshotted.
-            return self.peer_cfg(dest).has_jvmti;
+            return self.nodes[dest].cfg.has_jvmti;
         }
         self.pools
             .get(dest - POOL_DEST_BASE)

@@ -12,7 +12,7 @@ use crate::msg::{FsOp, HostReply, MigrationPlan, Msg, ProgramId, SessionId};
 use crate::trigger::Trigger;
 
 use super::session::{HomeSide, Owner, WorkerPhase};
-use super::{rollback_to_statement_start, Cluster, DeferredOp, CONTROL_MSG_BYTES};
+use super::{rollback_to_statement_start, Cluster, CONTROL_MSG_BYTES};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -74,7 +74,7 @@ impl Cluster {
         if !self.nodes[node].vm.threads[tid].is_runnable() {
             self.touch(node, tid);
         }
-        self.defer(DeferredOp::AddInstructions(owner_program, retired));
+        self.programs[owner_program as usize].report.instructions += retired;
         self.nodes[node].slices += 1;
         self.nodes[node].busy_ns += elapsed;
         // CPU contention (elastic ablations): the *scheduling delay* until
@@ -292,7 +292,7 @@ impl Cluster {
                 // Listing consults the local view plus mounted servers.
                 let mut entries = self.nodes[node].fs.list(&dir);
                 if let Some(server) = self.nodes[node].fs.serving_node(&dir) {
-                    entries = self.peer_fs(server).list(&dir);
+                    entries = self.nodes[server].fs.list(&dir);
                 }
                 ctx.schedule(
                     elapsed + 200_000,
@@ -383,7 +383,8 @@ impl Cluster {
     /// Resolve a path on `node`: `(meta, Some(server))` for mounted paths.
     fn lookup_file(&self, node: usize, path: &str) -> Option<(crate::fs::FileMeta, Option<usize>)> {
         if let Some(server) = self.nodes[node].fs.serving_node(path) {
-            self.peer_fs(server)
+            self.nodes[server]
+                .fs
                 .file(path)
                 .cloned()
                 .map(|m| (m, Some(server)))
@@ -509,7 +510,7 @@ impl Cluster {
                     let w = &self.sessions[&sid];
                     (w.home, w.program)
                 };
-                self.defer(DeferredOp::AddClassesShipped(program, 1));
+                self.programs[program as usize].report.classes_shipped += 1;
                 ctx.send_after(
                     elapsed,
                     node,

@@ -16,7 +16,7 @@ use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, Sessi
 
 use super::pool::POOL_DEST_BASE;
 use super::session::{BundleSeeds, HomeSide, Owner, StagedSegment, WorkerPhase};
-use super::{Cluster, CodeShipping, DeferredOp};
+use super::{Cluster, CodeShipping};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -199,11 +199,7 @@ impl Cluster {
                     // Unencodable capture (a name or sequence overflowed
                     // its length prefix): a typed program failure, not an
                     // engine abort.
-                    self.defer(DeferredOp::FailProgram {
-                        program,
-                        error: format!("segment encode failed: {e}"),
-                        at: ctx.now(),
-                    });
+                    self.fail_program(program, format!("segment encode failed: {e}"), ctx.now());
                     return;
                 }
             };
@@ -324,7 +320,7 @@ impl Cluster {
         let state_bytes = seg.frame.len() as u64;
         self.nodes[sender].net_sent.state += state_bytes;
         self.nodes[sender].net_sent.class += seg.class_bytes;
-        self.defer(DeferredOp::AddClassBytes(seg.info.program, seg.class_bytes));
+        self.programs[seg.info.program as usize].report.class_bytes += seg.class_bytes;
         ctx.send_after(
             delay + costs::MIGRATION_HANDSHAKE_NS,
             sender,
@@ -347,20 +343,13 @@ impl Cluster {
 
     /// Class lookup for bundling: the sender's repository first, falling
     /// back to the program home's (roaming workers hold only what shipped
-    /// to them). A foreign home's repo is read from the immutable snapshot
-    /// — sound because home repos are static after deployment (only worker
-    /// repos grow mid-run, and only the home is consulted here).
+    /// to them).
     fn lookup_class(&self, sender: usize, home: usize, name: &str) -> Option<Arc<ClassDef>> {
-        if let Some(c) = self.nodes[sender].repo.get(name) {
-            return Some(c.clone());
-        }
-        if self.nodes.owns(home) {
-            self.nodes[home].repo.get(name).cloned()
-        } else {
-            self.shared
-                .as_ref()
-                .and_then(|s| s.repos[home].get(name).cloned())
-        }
+        self.nodes[sender]
+            .repo
+            .get(name)
+            .or_else(|| self.nodes[home].repo.get(name))
+            .cloned()
     }
 
     /// Memoized [`ClassDef::referenced_classes`]: the scan walks every
@@ -483,22 +472,18 @@ impl Cluster {
         ctx: &mut SimCtx<'_, Msg>,
     ) {
         let Some(class) = self.nodes[dst].repo.get(&name).cloned() else {
-            // The requesting session may live on another shard: retire it
-            // and fail its program through the message-carried id — the
-            // deferred ops land wherever that state lives.
-            self.retire_session(session);
-            self.defer(DeferredOp::FailProgram {
-                program,
-                error: format!("home node {dst} missing class {name:?}"),
-                at: ctx.now(),
-            });
+            self.fail_session(
+                session,
+                format!("home node {dst} missing class {name:?}"),
+                ctx.now(),
+            );
             return;
         };
         let bytes = self.class_size(&class);
         let cost = self.nodes[dst].cfg.scale(costs::serialize_ns(bytes));
         self.nodes[dst].net_sent.class += bytes;
         self.nodes[dst].note_peer_class(requester, &name);
-        self.defer(DeferredOp::AddClassBytes(program, bytes));
+        self.programs[program as usize].report.class_bytes += bytes;
         ctx.send_after(
             cost,
             dst,
@@ -513,9 +498,7 @@ impl Cluster {
     }
 
     /// Fail the program behind `session` and retire the session so the
-    /// stranded worker state cannot be woken by stale events. Callers hold
-    /// the session locally; the program may live on another shard, in
-    /// which case the failure defers to the merge.
+    /// stranded worker state cannot be woken by stale events.
     pub(super) fn fail_session(&mut self, session: SessionId, error: String, at: u64) {
         let Some(w) = self.sessions.get_mut(&session) else {
             return;
@@ -523,7 +506,7 @@ impl Cluster {
         w.phase = WorkerPhase::Done;
         let program = w.program;
         self.touch_session(session);
-        self.defer(DeferredOp::FailProgram { program, error, at });
+        self.fail_program(program, error, at);
     }
 
     // ------------------------------------------------------------------
@@ -557,7 +540,7 @@ impl Cluster {
             self.sessions.get_mut(&sid).unwrap().phase = WorkerPhase::AwaitRoamAck { dest };
             let ser = self.nodes[node].cfg.scale(costs::serialize_ns(flush_bytes));
             self.nodes[node].net_sent.object += flush_bytes;
-            self.defer(DeferredOp::AddObjectBytes(program, flush_bytes));
+            self.programs[program as usize].report.object_bytes += flush_bytes;
             ctx.send_after(
                 elapsed + ser,
                 node,
@@ -586,7 +569,7 @@ impl Cluster {
         let (state, tool_ns) =
             capture_segment(&mut self.nodes[node].vm, tid, nframes, ToolingPath::Jvmti)
                 .expect("roam capture");
-        let dest_jvmti = self.peer_cfg(dest).has_jvmti;
+        let dest_jvmti = self.nodes[dest].cfg.has_jvmti;
         let capture_ns = if dest_jvmti {
             self.nodes[node].cfg.scale(tool_ns)
         } else {
@@ -628,11 +611,10 @@ impl Cluster {
         }
         self.thread_owner.remove(&(node, tid));
         self.touch(node, tid);
-        self.defer(DeferredOp::ReplaceValidSession {
-            program,
-            old: sid,
-            new: new_sid,
-        });
+        let valid = &mut self.programs[program as usize].valid_sessions;
+        if let Some(slot) = valid.iter_mut().find(|s| **s == sid) {
+            *slot = new_sid;
+        }
 
         let frame = match encode_state_pooled(&self.buf_pool, &state) {
             Ok(f) => f,

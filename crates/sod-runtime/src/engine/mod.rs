@@ -69,24 +69,18 @@ mod session;
 pub use fault::{RetryPolicy, DEFAULT_MIGRATION_TIMEOUT_NS};
 pub use pool::{PoolSpec, ScalePolicy, DEFAULT_POOL_TICK_NS, POOL_DEST_BASE};
 
-use std::collections::{HashMap, VecDeque};
-use std::ops::{Index, IndexMut};
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use sod_net::{ChaosPlan, Scheduler, ShardBatch, ShardLog, Sim, SimCtx, Topology, World};
-use sod_vm::class::ClassDef;
+use sod_net::{ChaosPlan, Sim, SimCtx, Topology, World};
 use sod_vm::value::{ObjId, Value};
 use sod_vm::wire::BufferPool;
 
-use crate::fs::SimFs;
-use crate::metrics::{
-    ChaosCounters, ClusterReport, MigrationTimings, NetBytes, NodeUtilization, RunReport,
-};
+use crate::metrics::{ChaosCounters, ClusterReport, NetBytes, NodeUtilization, RunReport};
 use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, SessionId};
-use crate::node::{Node, NodeConfig};
+use crate::node::Node;
 use crate::trigger::{ArmedTrigger, Trigger};
 
-use session::{HomeSide, Owner, StagedSegment, WorkerPhase, WorkerSession};
+use session::{HomeSide, Owner, StagedSegment, WorkerSession};
 
 /// Worker-created objects are flushed home under temporary ids at/above
 /// this base until the home node assigns master ids.
@@ -134,232 +128,6 @@ pub enum CodeShipping {
     BundleAlways,
 }
 
-/// Sparse, ownership-audited storage for per-node state.
-///
-/// The master cluster holds every slot. During a parallel safe-horizon
-/// batch (see [`sod_net::Scheduler::Parallel`]), `split_shards` *moves*
-/// each drained shard's node out into that shard's worker view, leaving
-/// `None` behind; indexing an absent slot — a handler reaching across
-/// shard boundaries — panics with an "ownership auditor" message instead
-/// of silently racing. Handler code indexes `self.nodes[i]` unchanged.
-pub struct Nodes {
-    slots: Vec<Option<Node>>,
-}
-
-impl Nodes {
-    fn from_vec(nodes: Vec<Node>) -> Self {
-        Nodes {
-            slots: nodes.into_iter().map(Some).collect(),
-        }
-    }
-
-    fn hollow(len: usize) -> Self {
-        Nodes {
-            slots: (0..len).map(|_| None).collect(),
-        }
-    }
-
-    /// Fleet size (slot count — includes slots on loan to shard views).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    pub fn push(&mut self, node: Node) {
-        self.slots.push(Some(node));
-    }
-
-    /// Whether this view currently owns node `i`'s state.
-    pub(super) fn owns(&self, i: usize) -> bool {
-        self.slots.get(i).is_some_and(Option::is_some)
-    }
-
-    fn take(&mut self, i: usize) -> Option<Node> {
-        self.slots.get_mut(i).and_then(Option::take)
-    }
-
-    fn put(&mut self, i: usize, node: Node) {
-        self.slots[i] = Some(node);
-    }
-
-    /// Iterate every node. Panics on a split-out slot, so it is only
-    /// callable on the master view (reports, chaos hooks).
-    pub fn iter(&self) -> impl Iterator<Item = &Node> {
-        self.slots.iter().enumerate().map(|(i, s)| {
-            s.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: iterated node {i} while it is loaned to a shard view")
-            })
-        })
-    }
-}
-
-impl Index<usize> for Nodes {
-    type Output = Node;
-    fn index(&self, i: usize) -> &Node {
-        self.slots[i].as_ref().unwrap_or_else(|| {
-            panic!(
-                "ownership auditor: touched node {i} from a shard view that does not own it \
-                 (cross-shard access while draining in parallel)"
-            )
-        })
-    }
-}
-
-impl IndexMut<usize> for Nodes {
-    fn index_mut(&mut self, i: usize) -> &mut Node {
-        self.slots[i].as_mut().unwrap_or_else(|| {
-            panic!(
-                "ownership auditor: touched node {i} from a shard view that does not own it \
-                 (cross-shard access while draining in parallel)"
-            )
-        })
-    }
-}
-
-/// Sparse, ownership-audited storage for programs, partitioned by home
-/// node during a parallel batch (a program's mutable record lives with
-/// the shard that hosts its root thread). Same auditing contract as
-/// [`Nodes`].
-pub struct Programs {
-    slots: Vec<Option<Program>>,
-}
-
-impl Programs {
-    fn hollow(len: usize) -> Self {
-        Programs {
-            slots: (0..len).map(|_| None).collect(),
-        }
-    }
-
-    /// Registered program count (includes programs on loan to views).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    pub fn push(&mut self, p: Program) {
-        self.slots.push(Some(p));
-    }
-
-    pub(super) fn owns(&self, program: ProgramId) -> bool {
-        self.slots
-            .get(program as usize)
-            .is_some_and(Option::is_some)
-    }
-
-    fn home_of(&self, i: usize) -> Option<usize> {
-        self.slots.get(i).and_then(|s| s.as_ref()).map(|p| p.home)
-    }
-
-    fn take(&mut self, i: usize) -> Option<Program> {
-        self.slots.get_mut(i).and_then(Option::take)
-    }
-
-    fn put(&mut self, i: usize, p: Program) {
-        self.slots[i] = Some(p);
-    }
-
-    /// Iterate every program (master view only — see [`Nodes::iter`]).
-    pub fn iter(&self) -> impl Iterator<Item = &Program> {
-        self.slots.iter().enumerate().map(|(i, s)| {
-            s.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: iterated program {i} while it is loaned to a shard view")
-            })
-        })
-    }
-}
-
-impl Index<usize> for Programs {
-    type Output = Program;
-    fn index(&self, i: usize) -> &Program {
-        self.slots[i].as_ref().unwrap_or_else(|| {
-            panic!(
-                "ownership auditor: touched program {i} from a shard view that does not own it \
-                 (cross-shard access while draining in parallel)"
-            )
-        })
-    }
-}
-
-impl IndexMut<usize> for Programs {
-    fn index_mut(&mut self, i: usize) -> &mut Program {
-        self.slots[i].as_mut().unwrap_or_else(|| {
-            panic!(
-                "ownership auditor: touched program {i} from a shard view that does not own it \
-                 (cross-shard access while draining in parallel)"
-            )
-        })
-    }
-}
-
-/// Which side of a parallel batch this `Cluster` value is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Role {
-    /// The real cluster: owns everything, applies effects immediately.
-    Master,
-    /// A per-shard worker view created by `split_shards`: owns exactly
-    /// one node (and the programs homed there); `deliveries` counts the
-    /// messages it has dispatched this batch, tagging deferred ops so the
-    /// merge can apply them at the matching point of the canonical order.
-    Worker { shard: usize, deliveries: u64 },
-}
-
-/// Immutable per-node data shared with every worker view ([`Arc`]), so a
-/// shard can read a *peer's* static configuration without owning it:
-/// node profiles, file-system trees (set up before the run), and the
-/// build-time class repositories. Snapshotted lazily at the first
-/// parallel batch; sound because none of these grow at a program's home
-/// after deployment (mid-run repo growth happens only at worker nodes,
-/// which resolve their own classes live).
-struct Shared {
-    cfgs: Vec<NodeConfig>,
-    fss: Vec<SimFs>,
-    repos: Vec<HashMap<String, Arc<ClassDef>>>,
-}
-
-/// A cross-shard effect recorded by a worker view during a parallel
-/// batch, applied by the master at the exact point of the canonical
-/// `(time, seq, dst)` merge where a sequential run would have applied it.
-/// Counter ops commute, but applying *all* of them in merged delivery
-/// order keeps even the order-sensitive ones (`PushMigration`,
-/// first-wins `FailProgram`) bit-identical.
-#[derive(Debug)]
-enum DeferredOp {
-    /// `report.instructions += n` (slice retirement for a foreign-homed
-    /// program running on this shard's node).
-    AddInstructions(ProgramId, u64),
-    /// `report.classes_shipped += n` (on-demand class requests issued).
-    AddClassesShipped(ProgramId, u64),
-    /// `report.class_bytes += n`.
-    AddClassBytes(ProgramId, u64),
-    /// `report.object_bytes += n`.
-    AddObjectBytes(ProgramId, u64),
-    /// One object fault resolved: `object_faults += 1`, `object_bytes += n`.
-    AddObjectFault(ProgramId, u64),
-    /// `report.migrations.push(t)` (restore completed on this shard).
-    PushMigration(ProgramId, MigrationTimings),
-    /// Typed program failure (first one wins; `fail_program` guards).
-    FailProgram {
-        program: ProgramId,
-        error: String,
-        at: u64,
-    },
-    /// Mark a foreign session `Done` so stale events cannot wake it.
-    RetireSession(SessionId),
-    /// A roam replaced `old` with `new` in the episode's valid set.
-    ReplaceValidSession {
-        program: ProgramId,
-        old: SessionId,
-        new: SessionId,
-    },
-}
-
 /// A registered program (one root thread).
 pub struct Program {
     pub home: usize,
@@ -404,17 +172,9 @@ pub struct Program {
 }
 
 /// The cluster: all nodes plus global program/session bookkeeping.
-///
-/// Under [`sod_net::Scheduler::Parallel`] the same type doubles as a
-/// per-shard *worker view* (see `Role`): `split_shards` moves one
-/// node's state — and the sessions/programs living there — into a view
-/// that drains its safe-horizon batch on a worker thread, and
-/// `absorb_shard` moves everything back. Cross-shard reads go through
-/// the immutable `Shared` snapshot; cross-shard writes become
-/// `DeferredOp`s replayed by the master during the canonical merge.
 pub struct Cluster {
-    pub nodes: Nodes,
-    pub programs: Programs,
+    pub nodes: Vec<Node>,
+    pub programs: Vec<Program>,
     sessions: HashMap<SessionId, WorkerSession>,
     thread_owner: HashMap<(usize, usize), Owner>,
     /// Per-node session-id allocation counters (see [`Cluster::alloc_session`]).
@@ -433,10 +193,9 @@ pub struct Cluster {
     /// run it once per class name, not per migration/class-serve.
     class_sizes: HashMap<String, u64>,
     /// Encode-buffer free list shared by every wire-path encoder (state
-    /// captures, object replies, flush batches). Shared across shard views
-    /// by `Arc`: pool state never influences encoded bytes, so reuse
-    /// cannot perturb determinism.
-    buf_pool: Arc<BufferPool>,
+    /// captures, object replies, flush batches). Pool state never
+    /// influences encoded bytes, so reuse cannot perturb determinism.
+    buf_pool: BufferPool,
     /// Whether a fault-injection plan is armed on the driving simulator.
     /// Gates every chaos-only code path (deadline timers, stale-message
     /// guards), so fault-free runs are event-for-event identical to the
@@ -459,23 +218,13 @@ pub struct Cluster {
     /// engine; elastic ablations turn it on so added capacity actually
     /// buys latency.
     pub cpu_contention: bool,
-    /// Master or per-shard worker view (see [`Role`]).
-    role: Role,
-    /// Immutable cross-shard data, built once at the first parallel batch.
-    shared: Option<Arc<Shared>>,
-    /// Worker side: cross-shard effects recorded during the batch, each
-    /// tagged with the 0-based index of the delivery that produced it.
-    deferred_out: Vec<(u64, DeferredOp)>,
-    /// Master side: per-shard queues of deferred ops from the last batch,
-    /// popped by `apply_deferred` as the merge replays deliveries.
-    deferred_in: Vec<VecDeque<(u64, DeferredOp)>>,
 }
 
 impl Cluster {
     pub fn new(nodes: Vec<Node>) -> Self {
         Cluster {
-            nodes: Nodes::from_vec(nodes),
-            programs: Programs { slots: Vec::new() },
+            nodes,
+            programs: Vec::new(),
             sessions: HashMap::new(),
             thread_owner: HashMap::new(),
             next_session: Vec::new(),
@@ -483,17 +232,13 @@ impl Cluster {
             code_shipping: CodeShipping::default(),
             class_refs: HashMap::new(),
             class_sizes: HashMap::new(),
-            buf_pool: Arc::new(BufferPool::new()),
+            buf_pool: BufferPool::new(),
             chaos_enabled: false,
             retry_policy: RetryPolicy::default(),
             migration_timeout_ns: DEFAULT_MIGRATION_TIMEOUT_NS,
             chaos: ChaosCounters::default(),
             pools: Vec::new(),
             cpu_contention: false,
-            role: Role::Master,
-            shared: None,
-            deferred_out: Vec::new(),
-            deferred_in: Vec::new(),
         }
     }
 
@@ -569,257 +314,15 @@ impl Cluster {
 
     /// Mint a session id for a session created *at* `node` (the handler's
     /// destination). Ids are striped — high half names the node, low half
-    /// counts its allocations — so shard views draining in parallel mint
-    /// exactly the ids a sequential run would, with no shared counter.
-    /// Deterministic across schedulers because each node's deliveries run
-    /// in the same canonical order under all of them.
+    /// counts its allocations (see [`SessionId`] for why the scheme is
+    /// kept).
     fn alloc_session(&mut self, node: usize) -> SessionId {
-        if let Role::Worker { shard, .. } = self.role {
-            assert_eq!(
-                node, shard,
-                "ownership auditor: shard {shard} allocated a session at node {node} \
-                 while draining in parallel"
-            );
-        }
         if self.next_session.len() <= node {
             self.next_session.resize(node + 1, 0);
         }
         let c = &mut self.next_session[node];
         *c += 1;
         ((node as u64 + 1) << 32) | *c
-    }
-
-    /// A peer node's profile: live when this view owns the node (always,
-    /// sequentially), else from the immutable snapshot.
-    fn peer_cfg(&self, node: usize) -> &NodeConfig {
-        if self.nodes.owns(node) {
-            &self.nodes[node].cfg
-        } else {
-            let shared = self.shared.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: read node {node}'s config with no shared snapshot")
-            });
-            &shared.cfgs[node]
-        }
-    }
-
-    /// A peer node's simulated filesystem (trees are fixed after scenario
-    /// setup): live when owned, else from the snapshot.
-    fn peer_fs(&self, node: usize) -> &SimFs {
-        if self.nodes.owns(node) {
-            &self.nodes[node].fs
-        } else {
-            let shared = self.shared.as_ref().unwrap_or_else(|| {
-                panic!("ownership auditor: read node {node}'s fs with no shared snapshot")
-            });
-            &shared.fss[node]
-        }
-    }
-
-    /// Record a cross-shard effect. On the master (or when this view owns
-    /// the target) the op applies immediately — sequential runs take this
-    /// path for every op, so they are byte-for-byte the old engine. A
-    /// worker view that does not own the target queues the op, tagged with
-    /// the current delivery index, for the master's merge to replay.
-    fn defer(&mut self, op: DeferredOp) {
-        let owned = match &op {
-            DeferredOp::AddInstructions(p, _)
-            | DeferredOp::AddClassesShipped(p, _)
-            | DeferredOp::AddClassBytes(p, _)
-            | DeferredOp::AddObjectBytes(p, _)
-            | DeferredOp::AddObjectFault(p, _)
-            | DeferredOp::PushMigration(p, _)
-            | DeferredOp::FailProgram { program: p, .. }
-            | DeferredOp::ReplaceValidSession { program: p, .. } => self.programs.owns(*p),
-            // Sessions are never removed from the map, so "absent" can
-            // only mean "owned by another shard this batch".
-            DeferredOp::RetireSession(sid) => self.sessions.contains_key(sid),
-        };
-        if owned {
-            self.apply_op(op);
-        } else {
-            let Role::Worker { deliveries, .. } = self.role else {
-                panic!("master deferred an op for state it does not own: {op:?}");
-            };
-            self.deferred_out.push((deliveries - 1, op));
-        }
-    }
-
-    fn apply_op(&mut self, op: DeferredOp) {
-        match op {
-            DeferredOp::AddInstructions(p, n) => {
-                self.programs[p as usize].report.instructions += n;
-            }
-            DeferredOp::AddClassesShipped(p, n) => {
-                self.programs[p as usize].report.classes_shipped += n;
-            }
-            DeferredOp::AddClassBytes(p, n) => {
-                self.programs[p as usize].report.class_bytes += n;
-            }
-            DeferredOp::AddObjectBytes(p, n) => {
-                self.programs[p as usize].report.object_bytes += n;
-            }
-            DeferredOp::AddObjectFault(p, bytes) => {
-                let report = &mut self.programs[p as usize].report;
-                report.object_faults += 1;
-                report.object_bytes += bytes;
-            }
-            DeferredOp::PushMigration(p, t) => {
-                self.programs[p as usize].report.migrations.push(t);
-            }
-            DeferredOp::FailProgram { program, error, at } => {
-                self.fail_program(program, error, at);
-            }
-            DeferredOp::RetireSession(sid) => {
-                if let Some(w) = self.sessions.get_mut(&sid) {
-                    w.phase = WorkerPhase::Done;
-                }
-                self.touch_session(sid);
-            }
-            DeferredOp::ReplaceValidSession { program, old, new } => {
-                let p = &mut self.programs[program as usize];
-                if let Some(slot) = p.valid_sessions.iter_mut().find(|s| **s == old) {
-                    *slot = new;
-                }
-            }
-        }
-    }
-
-    /// Mark a session `Done` wherever it lives: locally if owned, else via
-    /// a deferred [`DeferredOp::RetireSession`]. Used at cross-shard
-    /// failure sites where the serving node cannot read the session.
-    fn retire_session(&mut self, session: SessionId) {
-        self.defer(DeferredOp::RetireSession(session));
-    }
-
-    /// Build the immutable cross-shard snapshot (first parallel batch
-    /// only). Sound because configs are fixed at construction, fs trees
-    /// at scenario setup, and the class repos a foreign shard may consult
-    /// (program homes — see `lookup_class`) are static after deployment.
-    fn ensure_shared(&mut self) {
-        if self.shared.is_some() {
-            return;
-        }
-        let mut cfgs = Vec::with_capacity(self.nodes.len());
-        let mut fss = Vec::with_capacity(self.nodes.len());
-        let mut repos = Vec::with_capacity(self.nodes.len());
-        for n in self.nodes.iter() {
-            cfgs.push(n.cfg.clone());
-            fss.push(n.fs.clone());
-            repos.push(n.repo.clone());
-        }
-        self.shared = Some(Arc::new(Shared { cfgs, fss, repos }));
-    }
-
-    /// Carve per-shard worker views out of the master: each view owns its
-    /// shard's node, the programs homed there, the sessions hosted there,
-    /// and that node's thread/session bookkeeping. Everything else stays
-    /// behind (hollow slots), so any cross-shard touch trips an auditor.
-    fn split_shards(&mut self, shards: &[usize]) -> Vec<Cluster> {
-        let nnodes = self.nodes.len();
-        let nprogs = self.programs.len();
-        if self.next_session.len() < nnodes {
-            self.next_session.resize(nnodes, 0);
-        }
-        shards
-            .iter()
-            .map(|&s| {
-                let mut nodes = Nodes::hollow(nnodes);
-                if let Some(n) = self.nodes.take(s) {
-                    nodes.put(s, n);
-                }
-                let mut programs = Programs::hollow(nprogs);
-                for pid in 0..nprogs {
-                    if self.programs.home_of(pid) == Some(s) {
-                        if let Some(p) = self.programs.take(pid) {
-                            programs.put(pid, p);
-                        }
-                    }
-                }
-                let session_ids: Vec<SessionId> = self
-                    .sessions
-                    .iter()
-                    .filter(|(_, w)| w.node == s)
-                    .map(|(sid, _)| *sid)
-                    .collect();
-                let sessions = session_ids
-                    .into_iter()
-                    .map(|sid| (sid, self.sessions.remove(&sid).unwrap()))
-                    .collect();
-                let owner_keys: Vec<(usize, usize)> = self
-                    .thread_owner
-                    .keys()
-                    .filter(|(node, _)| *node == s)
-                    .copied()
-                    .collect();
-                let thread_owner = owner_keys
-                    .into_iter()
-                    .map(|k| (k, self.thread_owner.remove(&k).unwrap()))
-                    .collect();
-                let mut next_session = vec![0u64; nnodes];
-                next_session[s] = std::mem::take(&mut self.next_session[s]);
-                Cluster {
-                    nodes,
-                    programs,
-                    sessions,
-                    thread_owner,
-                    next_session,
-                    slice_ns: self.slice_ns,
-                    code_shipping: self.code_shipping,
-                    class_refs: HashMap::new(),
-                    class_sizes: HashMap::new(),
-                    buf_pool: Arc::clone(&self.buf_pool),
-                    chaos_enabled: false,
-                    retry_policy: self.retry_policy,
-                    migration_timeout_ns: self.migration_timeout_ns,
-                    chaos: ChaosCounters::default(),
-                    pools: Vec::new(),
-                    cpu_contention: self.cpu_contention,
-                    role: Role::Worker {
-                        shard: s,
-                        deliveries: 0,
-                    },
-                    shared: self.shared.clone(),
-                    deferred_out: Vec::new(),
-                    deferred_in: Vec::new(),
-                }
-            })
-            .collect()
-    }
-
-    /// Merge a worker view back after its batch drained: moved state
-    /// returns, memoized class refs fold in, and the view's deferred ops
-    /// queue up for `apply_deferred` to replay during the merge.
-    fn absorb_shard(&mut self, view: Cluster) {
-        let Role::Worker { shard, .. } = view.role else {
-            panic!("absorbed a non-worker view");
-        };
-        for (i, slot) in view.nodes.slots.into_iter().enumerate() {
-            if let Some(n) = slot {
-                debug_assert_eq!(i, shard);
-                self.nodes.put(i, n);
-            }
-        }
-        for (i, slot) in view.programs.slots.into_iter().enumerate() {
-            if let Some(p) = slot {
-                self.programs.put(i, p);
-            }
-        }
-        self.sessions.extend(view.sessions);
-        self.thread_owner.extend(view.thread_owner);
-        if self.next_session.len() <= shard {
-            self.next_session.resize(shard + 1, 0);
-        }
-        self.next_session[shard] = view.next_session[shard];
-        self.class_refs.extend(view.class_refs);
-        self.class_sizes.extend(view.class_sizes);
-        if self.deferred_in.len() <= shard {
-            self.deferred_in.resize_with(shard + 1, VecDeque::new);
-        }
-        debug_assert!(
-            self.deferred_in[shard].is_empty(),
-            "shard {shard} still had unapplied deferred ops from the previous batch"
-        );
-        self.deferred_in[shard] = view.deferred_out.into();
     }
 
     fn worker_of(&self, node: usize, tid: usize) -> SessionId {
@@ -902,18 +405,7 @@ impl World for Cluster {
     type Msg = Msg;
 
     fn on_message(&mut self, dst: usize, msg: Msg, ctx: &mut SimCtx<'_, Msg>) {
-        if let Role::Worker { shard, deliveries } = &mut self.role {
-            debug_assert_eq!(
-                dst, *shard,
-                "ownership auditor: shard {shard} asked to deliver node {dst}'s event"
-            );
-            // 0-based delivery index tags this delivery's deferred ops, so
-            // the master's merge applies them at the matching point of the
-            // canonical order.
-            *deliveries += 1;
-        }
-        // Per-node event accounting: this node's shard delivery count
-        // under the sharded scheduler (surfaced in `NodeUtilization`).
+        // Per-node event accounting (surfaced in `NodeUtilization`).
         self.nodes[dst].events += 1;
         match msg {
             Msg::StartProgram { program } => {
@@ -1049,56 +541,6 @@ impl World for Cluster {
     ) {
         self.note_dropped(src, dst, msg, reason, now);
     }
-
-    /// The engine honors the shard-ownership contract (every cross-node
-    /// touch is a message, a `Shared` read, or a `DeferredOp`) —
-    /// except under chaos (stale-guards read foreign program state) and
-    /// while elastic pools are live (controllers place work fleet-wide),
-    /// which stay on the sequential path.
-    fn parallel_ready(&self) -> bool {
-        !self.chaos_enabled && self.pools.is_empty()
-    }
-
-    fn drain_parallel(
-        &mut self,
-        topo: &mut Topology,
-        batches: &mut Vec<ShardBatch<Msg>>,
-        horizon: u64,
-        prov_base: u64,
-        threads: usize,
-        max_events: u64,
-    ) -> Option<Vec<ShardLog<Msg>>> {
-        self.ensure_shared();
-        let shards: Vec<usize> = batches.iter().map(|b| b.shard).collect();
-        let views = self.split_shards(&shards);
-        let (logs, views) = sod_net::drain_batches_scoped(
-            topo,
-            std::mem::take(batches),
-            horizon,
-            prov_base,
-            threads,
-            max_events,
-            views,
-            |view: &mut Cluster, dst, msg, ctx| view.on_message(dst, msg, ctx),
-        );
-        for view in views {
-            self.absorb_shard(view);
-        }
-        Some(logs)
-    }
-
-    fn apply_deferred(&mut self, shard: usize, delivery: u64) {
-        if shard >= self.deferred_in.len() {
-            return;
-        }
-        while let Some((tag, _)) = self.deferred_in[shard].front() {
-            if *tag != delivery {
-                break;
-            }
-            let (_, op) = self.deferred_in[shard].pop_front().unwrap();
-            self.apply_op(op);
-        }
-    }
 }
 
 fn materialize_reply(vm: &mut sod_vm::interp::Vm, reply: HostReply) -> Value {
@@ -1121,18 +563,10 @@ pub struct SodSim {
 }
 
 impl SodSim {
-    /// A driver on the default [`Scheduler`] (per-node sharded queues).
+    /// A driver over `cluster` on `topo`.
     pub fn new(cluster: Cluster, topo: Topology) -> Self {
-        SodSim::with_scheduler(cluster, topo, Scheduler::default())
-    }
-
-    /// A driver on an explicit event [`Scheduler`]. Both schedulers
-    /// produce bit-identical reports — the choice only affects simulator
-    /// cost at fleet scale (see the `scheduler_equivalence` suite and the
-    /// `sod-bench` scale ablation).
-    pub fn with_scheduler(cluster: Cluster, topo: Topology, scheduler: Scheduler) -> Self {
         SodSim {
-            sim: Sim::with_scheduler(cluster, topo, scheduler),
+            sim: Sim::new(cluster, topo),
         }
     }
 
@@ -1245,48 +679,17 @@ pub fn rollback_to_statement_start(vm: &mut sod_vm::interp::Vm, tid: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn two_node_cluster() -> Cluster {
-        Cluster::new(vec![
-            Node::new(NodeConfig::cluster("a")),
-            Node::new(NodeConfig::cluster("b")),
-        ])
-    }
+    use crate::node::NodeConfig;
 
     #[test]
     fn session_ids_are_striped_per_node() {
-        let mut c = two_node_cluster();
+        let mut c = Cluster::new(vec![
+            Node::new(NodeConfig::cluster("a")),
+            Node::new(NodeConfig::cluster("b")),
+        ]);
         assert_eq!(c.alloc_session(0), (1u64 << 32) | 1);
         assert_eq!(c.alloc_session(1), (2u64 << 32) | 1);
         assert_eq!(c.alloc_session(0), (1u64 << 32) | 2);
-        // A shard view minting for its own node continues the exact
-        // stripe a sequential run would use, and the master resumes it
-        // after the merge.
-        c.ensure_shared();
-        let mut views = c.split_shards(&[1]);
-        assert_eq!(views[0].alloc_session(1), (2u64 << 32) | 2);
-        let view = views.pop().unwrap();
-        c.absorb_shard(view);
-        assert_eq!(c.alloc_session(1), (2u64 << 32) | 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "ownership auditor")]
-    fn auditor_catches_cross_shard_node_access() {
-        let mut c = two_node_cluster();
-        c.ensure_shared();
-        let views = c.split_shards(&[0]);
-        // Node 1 was loaned to another shard: touching it from this view
-        // is exactly the data race the repartition forbids.
-        let _ = &views[0].nodes[1];
-    }
-
-    #[test]
-    #[should_panic(expected = "ownership auditor")]
-    fn auditor_catches_session_minted_off_shard() {
-        let mut c = two_node_cluster();
-        c.ensure_shared();
-        let mut views = c.split_shards(&[0]);
-        let _ = views[0].alloc_session(1);
+        assert_eq!(c.alloc_session(1), (2u64 << 32) | 2);
     }
 }

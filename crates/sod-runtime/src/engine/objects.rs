@@ -16,7 +16,7 @@ use crate::costs;
 use crate::msg::{Msg, ProgramId, SessionId};
 
 use super::session::WorkerPhase;
-use super::{Cluster, DeferredOp, FetchPolicy, CONTROL_MSG_BYTES, TEMP_ID_BASE};
+use super::{Cluster, FetchPolicy, CONTROL_MSG_BYTES, TEMP_ID_BASE};
 
 impl Cluster {
     pub(super) fn object_request(
@@ -28,9 +28,7 @@ impl Cluster {
         program: ProgramId,
         ctx: &mut SimCtx<'_, Msg>,
     ) {
-        // The fetch policy comes off the program record — this node is the
-        // program's home, so the record is owned here even mid-batch; the
-        // requesting session may live on another shard.
+        // The fetch policy comes off the program record at its home.
         let policy = self.programs[program as usize].fetch_policy;
         let (root, prefetched) = match policy {
             FetchPolicy::Shallow => (
@@ -52,11 +50,7 @@ impl Cluster {
             match encode_object_pooled(&self.buf_pool, obj) {
                 Ok(f) => batch.push(f),
                 Err(e) => {
-                    self.defer(DeferredOp::FailProgram {
-                        program,
-                        error: format!("object encode failed: {e}"),
-                        at: ctx.now(),
-                    });
+                    self.fail_program(program, format!("object encode failed: {e}"), ctx.now());
                     return;
                 }
             }
@@ -98,7 +92,9 @@ impl Cluster {
             // while the reply was in flight. The bytes still arrived on
             // this program's behalf; account them on its report so the
             // object ledger stays balanced, but leave the dead thread be.
-            self.defer(DeferredOp::AddObjectFault(program, bytes));
+            let report = &mut self.programs[program as usize].report;
+            report.object_faults += 1;
+            report.object_bytes += bytes;
             return;
         }
         // Decode every frame before touching the heap so a malformed reply
@@ -128,7 +124,9 @@ impl Cluster {
             .resume_fetched(tid, local)
             .expect("resume fetched");
         self.touch(node, tid);
-        self.defer(DeferredOp::AddObjectFault(program, bytes));
+        let report = &mut self.programs[program as usize].report;
+        report.object_faults += 1;
+        report.object_bytes += bytes;
         let cost = self.nodes[node].cfg.scale(costs::deserialize_ns(bytes));
         ctx.schedule(cost, node, Msg::RunSlice { tid });
     }
@@ -149,11 +147,7 @@ impl Cluster {
             match decode_object(f.clone()) {
                 Ok(o) => objects.push(o),
                 Err(e) => {
-                    self.defer(DeferredOp::FailProgram {
-                        program,
-                        error: format!("flush decode failed: {e}"),
-                        at: ctx.now(),
-                    });
+                    self.fail_program(program, format!("flush decode failed: {e}"), ctx.now());
                     return;
                 }
             }

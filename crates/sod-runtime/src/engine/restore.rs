@@ -19,7 +19,7 @@ use crate::msg::{Msg, SegmentInfo, SessionId};
 
 use super::migrate::split_transfer_window;
 use super::session::{Owner, WorkerPhase, WorkerSession};
-use super::{Cluster, DeferredOp, CONTROL_MSG_BYTES};
+use super::{Cluster, CONTROL_MSG_BYTES};
 
 impl Cluster {
     // ------------------------------------------------------------------
@@ -62,11 +62,7 @@ impl Cluster {
             Err(e) => {
                 // Malformed frame: typed rejection, never a panic. The
                 // shipped bytes die here, like a stale arrival.
-                self.defer(DeferredOp::FailProgram {
-                    program: info.program,
-                    error: format!("state decode failed: {e}"),
-                    at: arrived,
-                });
+                self.fail_program(info.program, format!("state decode failed: {e}"), arrived);
                 self.nodes[node].net_lost.state += state_bytes;
                 return;
             }
@@ -96,11 +92,11 @@ impl Cluster {
                 let cb = self.class_size(c);
                 prep += self.nodes[node].cfg.scale(costs::class_load_ns(cb));
                 if let Err(e) = self.nodes[node].vm.load_class(c) {
-                    self.defer(DeferredOp::FailProgram {
-                        program: info.program,
-                        error: format!("bundled class {:?} failed to load: {e:?}", c.name),
-                        at: arrived,
-                    });
+                    self.fail_program(
+                        info.program,
+                        format!("bundled class {:?} failed to load: {e:?}", c.name),
+                        arrived,
+                    );
                     // No session was created: the shipped state dies here.
                     self.nodes[node].net_lost.state += state_bytes;
                     return;
@@ -158,7 +154,7 @@ impl Cluster {
             let mut missing: Vec<String> = missing.into_iter().collect();
             missing.sort_unstable();
             for name in missing {
-                self.defer(DeferredOp::AddClassesShipped(info.program, 1));
+                self.programs[info.program as usize].report.classes_shipped += 1;
                 ctx.send_after(
                     prep,
                     node,
@@ -300,7 +296,10 @@ impl Cluster {
                 ctx.schedule(cost, node, Msg::RunSlice { tid });
             }
             self.touch(node, tid);
-            self.defer(DeferredOp::PushMigration(program, timings));
+            self.programs[program as usize]
+                .report
+                .migrations
+                .push(timings);
         }
     }
 
@@ -381,6 +380,9 @@ impl Cluster {
         w.recorded = true;
         let timings = w.timings;
         let program = w.program;
-        self.defer(DeferredOp::PushMigration(program, timings));
+        self.programs[program as usize]
+            .report
+            .migrations
+            .push(timings);
     }
 }

@@ -18,9 +18,11 @@ pub type ProgramId = u32;
 /// Migration session identity (one migrated segment instance).
 ///
 /// Ids are *striped per allocating node* — the high half names the node,
-/// the low half counts its allocations — so independent shards draining in
-/// parallel mint identical ids to a sequential run without coordinating
-/// (see `Cluster::alloc_session`).
+/// the low half counts its allocations (see `Cluster::alloc_session`).
+/// The scheme is kept because the id order is observable: an elastic
+/// scale-in drain roams a retiring member's hosted sessions away in
+/// ascending id order, so renumbering sessions would reorder those roams
+/// and move the elastic workloads' virtual metrics.
 pub type SessionId = u64;
 
 /// One segment of a migration plan: `nframes` counted from the top of the
@@ -176,7 +178,7 @@ pub enum Msg {
     },
     /// Worker requests a class it misses (the class-file-load-hook path).
     /// Carries the owning program so the serving node can account the
-    /// class bytes without reaching into another shard's session state.
+    /// class bytes without looking the session up.
     ClassRequest {
         session: SessionId,
         requester: usize,

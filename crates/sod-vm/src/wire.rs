@@ -132,7 +132,7 @@ const POOL_SEED_CAPACITY: usize = 256;
 /// fill it, and freeze it into the [`Bytes`] frame that travels; after the
 /// final delivery [`BufferPool::recycle`] reclaims the allocation when the
 /// frame was the last owner. Pool state never influences encoded bytes, so
-/// sharing one pool across parallel shards cannot perturb determinism.
+/// reuse cannot perturb determinism.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Mutex<Vec<BytesMut>>,

@@ -97,6 +97,6 @@ pub use scenario::{
 };
 pub use sod_runtime::{
     ChaosCounters, ChaosPlan, ClusterReport, CodeShipping, NetBytes, PoolReport, RetryPolicy,
-    ScalePolicy, Scheduler,
+    ScalePolicy,
 };
 pub use sod_workloads::ArrivalSchedule;

@@ -58,7 +58,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use sod_net::{ChaosPlan, LinkSpec, Scheduler, Topology};
+use sod_net::{ChaosPlan, LinkSpec, Topology};
 use sod_runtime::trigger::{ArmedTrigger, Trigger};
 use sod_runtime::{
     Cluster, ClusterReport, CodeShipping, FetchPolicy, MigrationPlan, Node, NodeConfig, PoolSpec,
@@ -533,9 +533,6 @@ pub enum ScenarioError {
         base: usize,
         max: usize,
     },
-    /// `threads(0)` was requested — a parallel drain needs at least one
-    /// worker thread.
-    ZeroThreads,
     /// A `migrate(..)` directive carries a plan with no segments.
     EmptyPlan,
     /// Deploying a class onto a node failed verification/loading.
@@ -565,12 +562,6 @@ impl fmt::Display for ScenarioError {
                 f,
                 "pool {pool:?} needs 1 <= base <= max (got base={base}, max={max})"
             ),
-            ScenarioError::ZeroThreads => {
-                write!(
-                    f,
-                    "threads(0) is invalid: a parallel drain needs at least one thread"
-                )
-            }
             ScenarioError::EmptyPlan => {
                 write!(f, "migration plan has no segments (nowhere to migrate)")
             }
@@ -649,7 +640,6 @@ pub struct Scenario {
     pools: Vec<Pool>,
     slice_ns: Option<u64>,
     code_shipping: Option<CodeShipping>,
-    scheduler: Option<Scheduler>,
     chaos_plan: Option<Chaos>,
     cpu_contention: bool,
     slow_resolve: bool,
@@ -862,32 +852,6 @@ impl Scenario {
     /// state versus on demand — the ablation axis of the codecache bench.
     pub fn code_shipping(mut self, policy: CodeShipping) -> Self {
         self.code_shipping = Some(policy);
-        self
-    }
-
-    /// Event-scheduler choice for the simulation (default
-    /// [`Scheduler::Sharded`]: per-node event shards under a conservative
-    /// safe horizon). Both schedulers produce bit-identical
-    /// [`ScenarioReport`]s — the `scheduler_equivalence` suite pins that —
-    /// so this only trades simulator cost at fleet scale.
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
-    /// Drain safe-horizon windows on `n` real threads
-    /// ([`Scheduler::Parallel`]). Shorthand for
-    /// `scheduler(Scheduler::Parallel { threads: n })`; `n == 0` is
-    /// rejected with [`ScenarioError::ZeroThreads`] when the scenario
-    /// runs. Any thread count produces the same bit-identical
-    /// [`ScenarioReport`] as the sequential schedulers — parallelism
-    /// only trades host wall-clock.
-    pub fn threads(mut self, n: usize) -> Self {
-        if n == 0 {
-            self.errors.push(ScenarioError::ZeroThreads);
-        } else {
-            self.scheduler = Some(Scheduler::Parallel { threads: n });
-        }
         self
     }
 
@@ -1151,7 +1115,7 @@ impl Scenario {
             cluster.add_pool(spec);
         }
 
-        let mut sim = SodSim::with_scheduler(cluster, topo, self.scheduler.unwrap_or_default());
+        let mut sim = SodSim::new(cluster, topo);
         if let Some(plan) = &chaos_plan {
             sim.set_chaos(plan);
         }
@@ -1569,73 +1533,5 @@ mod tests {
         };
         assert!(e.to_string().contains("App::main"));
         assert!(ScenarioError::NoNodes.to_string().contains("no nodes"));
-        assert!(ScenarioError::ZeroThreads
-            .to_string()
-            .contains("threads(0)"));
-    }
-
-    #[test]
-    fn zero_threads_is_a_typed_error() {
-        let class = trivial_class("T");
-        let err = Scenario::new()
-            .node("a", NodeConfig::cluster("a"))
-            .deploys(&class)
-            .program("T", "main", vec![])
-            .threads(0)
-            .run();
-        assert_eq!(err, Err(ScenarioError::ZeroThreads));
-    }
-
-    #[test]
-    fn parallel_threads_match_sequential() {
-        let class = sod_asm::builder::ClassBuilder::new("App")
-            .method("work", &["n"], |m| {
-                m.line();
-                m.pushi(0).store("acc");
-                m.pushi(0).store("i");
-                m.line();
-                m.label("loop");
-                m.load("i").load("n").if_cmp(sod_vm::instr::Cmp::Ge, "done");
-                m.line();
-                m.load("acc").load("i").add().store("acc");
-                m.line();
-                m.load("i").pushi(1).add().store("i").goto("loop");
-                m.line();
-                m.label("done");
-                m.load("acc").retv();
-            })
-            .method("main", &["n"], |m| {
-                m.line();
-                m.load("n").invoke("App", "work", 1).store("r");
-                m.line();
-                m.load("r").retv();
-            })
-            .build()
-            .unwrap();
-        let class = sod_preprocess::preprocess_sod(&class).unwrap();
-        let run = |threads: Option<usize>| {
-            let mut s = Scenario::new()
-                .node("home", NodeConfig::cluster("home"))
-                .deploys(&class)
-                .node("worker", NodeConfig::cluster("worker"))
-                .deploys(&class)
-                .program("App", "main", vec![Value::Int(100_000)])
-                .on("home")
-                .migrate(When::At(sod_net::MS), Plan::top_to("worker", 1));
-            if let Some(n) = threads {
-                s = s.threads(n);
-            }
-            s.run().unwrap()
-        };
-        let sequential = run(None);
-        for n in [1, 2, 4] {
-            let parallel = run(Some(n));
-            assert_eq!(
-                parallel, sequential,
-                "threads({n}) diverged from the sequential report"
-            );
-        }
-        assert_eq!(sequential.first().result, Some((0..100_000i64).sum()));
-        assert_eq!(sequential.first().migrations.len(), 1);
     }
 }

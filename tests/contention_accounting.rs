@@ -12,9 +12,8 @@
 //! policies, chained segments (handler-protocol restores stacked with
 //! direct restores waiting for a chained return), roaming across WAN file
 //! servers, `OnOom` offload (fault, rollback, re-freeze), and elastic
-//! pools draining stacks off retiring members. Every report must be
-//! bit-identical under `GlobalHeap`, `Sharded` and `Parallel` at 1 and 2
-//! threads.
+//! pools draining stacks off retiring members. Every scenario runs twice
+//! and the two reports must be bit-identical.
 
 use sod::asm::builder::ClassBuilder;
 use sod::net::{LinkSpec, MS};
@@ -27,7 +26,7 @@ use sod::vm::value::TypeOf;
 use sod::vm::value::Value;
 use sod::workloads::apps::search_class;
 use sod::workloads::programs::{fib_class, handler_fleet_classes, handler_fleet_expected};
-use sod::{ArrivalSchedule, ScalePolicy, Scheduler};
+use sod::{ArrivalSchedule, ScalePolicy};
 
 const FLEET: usize = 40;
 
@@ -35,24 +34,16 @@ fn fib() -> ClassDef {
     preprocess_sod(&fib_class()).expect("preprocess fib")
 }
 
-/// Run the scenario under every scheduler and thread count and require
-/// the full reports to compare `==`.
-fn assert_all_schedulers(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
-    let run = |s: Scenario, how: &str| {
-        s.run()
-            .unwrap_or_else(|e| panic!("{label}: {how} run failed: {e}"))
+/// Run the scenario twice and require the full reports to compare `==`.
+fn assert_replays(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
+    let run = || {
+        build()
+            .run()
+            .unwrap_or_else(|e| panic!("{label}: run failed: {e}"))
     };
-    let global = run(build().scheduler(Scheduler::GlobalHeap), "GlobalHeap");
-    let sharded = run(build().scheduler(Scheduler::Sharded), "Sharded");
-    assert_eq!(global, sharded, "{label}: Sharded diverges from GlobalHeap");
-    for threads in [1, 2] {
-        let parallel = run(build().threads(threads), "Parallel");
-        assert_eq!(
-            global, parallel,
-            "{label}: Parallel({threads}) diverges from GlobalHeap"
-        );
-    }
-    sharded
+    let first = run();
+    assert_eq!(first, run(), "{label}: replay diverges");
+    first
 }
 
 /// Every program ends in a result or a typed error.
@@ -113,7 +104,7 @@ fn chaos_chain_fleet(policy: RetryPolicy) -> Scenario {
 fn contention_changes_latency_in_the_chain_fleet() {
     // The suite is only meaningful if the contention count feeds the
     // schedule: the same fleet without contention must time differently.
-    let on = assert_all_schedulers("chain fleet", chain_fleet);
+    let on = assert_replays("chain fleet", chain_fleet);
     let off = chain_fleet().cpu_contention(false).run().expect("runs");
     assert_terminated("chain fleet", &on);
     assert_eq!(on.cluster.completed, FLEET as u64);
@@ -132,7 +123,7 @@ fn contention_changes_latency_in_the_chain_fleet() {
 
 #[test]
 fn chaos_with_retry_keeps_the_count() {
-    let r = assert_all_schedulers("chaos + retry", || {
+    let r = assert_replays("chaos + retry", || {
         chaos_chain_fleet(RetryPolicy::Retry { max_attempts: 3 })
     });
     assert_terminated("chaos + retry", &r);
@@ -144,7 +135,7 @@ fn chaos_with_retry_keeps_the_count() {
 
 #[test]
 fn chaos_with_fallback_keeps_the_count() {
-    let r = assert_all_schedulers("chaos + fallback", || {
+    let r = assert_replays("chaos + fallback", || {
         chaos_chain_fleet(RetryPolicy::FallbackToHome)
     });
     assert_terminated("chaos + fallback", &r);
@@ -157,7 +148,7 @@ fn chaos_with_fallback_keeps_the_count() {
 /// restarted node then serves later arrivals under contention.
 #[test]
 fn home_crash_fails_runnable_threads_out_of_the_count() {
-    let r = assert_all_schedulers("home crash", || {
+    let r = assert_replays("home crash", || {
         Scenario::new()
             .slice_ns(10_000)
             .cpu_contention(true)
@@ -194,7 +185,7 @@ fn home_crash_fails_runnable_threads_out_of_the_count() {
 /// every worker hosts handler restores and waiting chain links at once.
 #[test]
 fn three_segment_chains_keep_the_count() {
-    let r = assert_all_schedulers("3-segment chains", || {
+    let r = assert_replays("3-segment chains", || {
         Scenario::new()
             .slice_ns(2_000)
             .cpu_contention(true)
@@ -228,7 +219,7 @@ fn three_segment_chains_keep_the_count() {
 #[test]
 fn roaming_keeps_the_count() {
     let nfiles = 3usize;
-    let r = assert_all_schedulers("roaming", || {
+    let r = assert_replays("roaming", || {
         let class = preprocess_sod(&search_class()).expect("preprocess search");
         let mut scenario = Scenario::new()
             .topology(Preset::WanGrid)
@@ -273,7 +264,7 @@ fn roaming_keeps_the_count() {
 /// stack to the cloud while its siblings keep allocating.
 #[test]
 fn on_oom_offload_keeps_the_count() {
-    let r = assert_all_schedulers("OnOom offload", || {
+    let r = assert_replays("OnOom offload", || {
         let class = ClassBuilder::new("Big")
             .method("alloc", &["n"], |m| {
                 m.line();
@@ -322,7 +313,7 @@ fn on_oom_offload_keeps_the_count() {
 /// what the loss dropped.
 #[test]
 fn elastic_drains_under_loss_keep_the_count() {
-    let r = assert_all_schedulers("elastic + loss", || {
+    let r = assert_replays("elastic + loss", || {
         Scenario::new()
             .slice_ns(5_000)
             .cpu_contention(true)
@@ -385,7 +376,7 @@ fn object_faults_keep_the_count() {
         .build()
         .expect("valid class");
     let class = preprocess_sod(&class).expect("preprocess");
-    let r = assert_all_schedulers("object faults", || {
+    let r = assert_replays("object faults", || {
         Scenario::new()
             .slice_ns(2_000)
             .cpu_contention(true)
@@ -416,7 +407,7 @@ fn class_misses_keep_the_count() {
         .iter()
         .map(|c| preprocess_sod(c).expect("preprocess"))
         .collect();
-    let r = assert_all_schedulers("class misses", || {
+    let r = assert_replays("class misses", || {
         let mut home = Scenario::new()
             .slice_ns(5_000)
             .cpu_contention(true)

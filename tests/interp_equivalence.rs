@@ -280,7 +280,7 @@ fn counter_class() -> ClassDef {
 // ---------------------------------------------------------------------------
 
 /// A randomized fleet over `nodes` cluster nodes, mirroring the
-/// scheduler-equivalence generator: random arrival schedule, random link
+/// replay-determinism generator: random arrival schedule, random link
 /// override, random migration trigger (or none).
 fn random_fleet(
     slow: bool,

@@ -1,18 +1,15 @@
-//! Differential equivalence of the event schedulers: every scenario
-//! shape the repository knows — single migration, multi-segment chains,
-//! WAN roaming, exception-driven OnOom offload, every `ArrivalSchedule`,
-//! every `CodeShipping` policy — must produce **bit-identical**
+//! Replay determinism: every scenario shape the repository knows —
+//! single migration, multi-segment chains, WAN roaming, exception-driven
+//! OnOom offload, every `ArrivalSchedule`, every `CodeShipping` policy,
+//! chaos profiles and elastic pools — is built and run twice, and the two
 //! `ScenarioReport`s (and therefore `ClusterReport`s, per-node event
-//! counts included) under `Scheduler::GlobalHeap`, `Scheduler::Sharded`,
-//! and `Scheduler::Parallel` at 1, 2, and 4 threads. This suite is the
-//! safety net that let the sharded per-node queue become the default and
-//! the parallel drain land at all: any divergence in delivery order,
-//! tie-breaking, or accounting between the schedulers fails loudly here.
+//! counts included) must be **bit-identical**. Every `HashMap` in the
+//! second run gets a fresh `RandomState`, so any result that depends on
+//! map iteration order diverges here.
 //!
-//! The property tests at the bottom push the same claim through random
+//! The property test at the bottom pushes the same claim through random
 //! fleets (node count 2–16, up to 300 programs, random triggers, links,
-//! schedules, and seeds), plus byte conservation and same-seed
-//! determinism under `Sharded` and `Parallel`.
+//! schedules, and seeds), plus byte conservation.
 
 use proptest::prelude::*;
 use sod::asm::builder::ClassBuilder;
@@ -24,36 +21,20 @@ use sod::vm::class::ClassDef;
 use sod::vm::value::Value;
 use sod::workloads::apps::search_class;
 use sod::workloads::programs::fib_class;
-use sod::{ArrivalSchedule, CodeShipping, NetBytes, Scheduler};
+use sod::{ArrivalSchedule, CodeShipping, NetBytes};
 
-/// Build the scenario once per scheduler — `GlobalHeap`, `Sharded`, and
-/// `Parallel` at 1, 2, and 4 threads — and require the full reports
+/// Build and run the scenario twice and require the full reports
 /// (results, timings, migrations, cluster aggregates, per-node
 /// utilization and event counts) to compare `==`.
-fn assert_equivalent(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
-    let global = build()
-        .scheduler(Scheduler::GlobalHeap)
+fn assert_replays(label: &str, build: impl Fn() -> Scenario) -> ScenarioReport {
+    let first = build()
         .run()
-        .unwrap_or_else(|e| panic!("{label}: GlobalHeap run failed: {e}"));
-    let sharded = build()
-        .scheduler(Scheduler::Sharded)
+        .unwrap_or_else(|e| panic!("{label}: first run failed: {e}"));
+    let second = build()
         .run()
-        .unwrap_or_else(|e| panic!("{label}: Sharded run failed: {e}"));
-    assert_eq!(
-        global, sharded,
-        "{label}: ScenarioReports diverge between schedulers"
-    );
-    for threads in [1, 2, 4] {
-        let parallel = build()
-            .threads(threads)
-            .run()
-            .unwrap_or_else(|e| panic!("{label}: Parallel({threads}) run failed: {e}"));
-        assert_eq!(
-            global, parallel,
-            "{label}: Parallel({threads}) diverges from GlobalHeap"
-        );
-    }
-    sharded
+        .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
+    assert_eq!(first, second, "{label}: ScenarioReports diverge on replay");
+    first
 }
 
 fn fib() -> ClassDef {
@@ -61,8 +42,8 @@ fn fib() -> ClassDef {
 }
 
 #[test]
-fn single_migration_is_scheduler_equivalent() {
-    let report = assert_equivalent("single migration", || {
+fn single_migration_replays_identically() {
+    let report = assert_replays("single migration", || {
         Scenario::new()
             .slice_ns(10_000)
             .node("home", NodeConfig::cluster("home"))
@@ -77,8 +58,8 @@ fn single_migration_is_scheduler_equivalent() {
 }
 
 #[test]
-fn chained_segments_are_scheduler_equivalent() {
-    let report = assert_equivalent("chain", || {
+fn chained_segments_replay_identically() {
+    let report = assert_replays("chain", || {
         Scenario::new()
             .slice_ns(10_000)
             .node("home", NodeConfig::cluster("home"))
@@ -94,8 +75,8 @@ fn chained_segments_are_scheduler_equivalent() {
 }
 
 #[test]
-fn whole_stack_migration_is_scheduler_equivalent() {
-    let report = assert_equivalent("whole stack", || {
+fn whole_stack_migration_replays_identically() {
+    let report = assert_replays("whole stack", || {
         Scenario::new()
             .slice_ns(10_000)
             .node("home", NodeConfig::cluster("home"))
@@ -111,9 +92,9 @@ fn whole_stack_migration_is_scheduler_equivalent() {
 /// The roaming shape (paper §IV.C, trimmed): a search task hops across
 /// WAN file servers instead of pulling their files over NFS.
 #[test]
-fn roaming_over_wan_grid_is_scheduler_equivalent() {
+fn roaming_over_wan_grid_replays_identically() {
     let nfiles = 3usize;
-    let report = assert_equivalent("roaming", || {
+    let report = assert_replays("roaming", || {
         let class = preprocess_sod(&search_class()).expect("preprocess search");
         let mut scenario = Scenario::new()
             .topology(Preset::WanGrid)
@@ -151,8 +132,8 @@ fn roaming_over_wan_grid_is_scheduler_equivalent() {
 /// Exception-driven offload: the allocation overflows a small device
 /// heap, `When::OnOom` rescues the whole stack onto the cloud.
 #[test]
-fn on_oom_offload_is_scheduler_equivalent() {
-    let report = assert_equivalent("OnOom offload", || {
+fn on_oom_offload_replays_identically() {
+    let report = assert_replays("OnOom offload", || {
         let class = ClassBuilder::new("Big")
             .method("alloc", &["n"], |m| {
                 m.line();
@@ -205,7 +186,7 @@ fn fleet_scenario(schedule: ArrivalSchedule, seed: u64, shipping: CodeShipping) 
 }
 
 #[test]
-fn every_arrival_schedule_is_scheduler_equivalent() {
+fn every_arrival_schedule_replays_identically() {
     for (name, schedule) in [
         ("uniform", ArrivalSchedule::uniform(2 * MS).with_jitter(MS)),
         (
@@ -214,7 +195,7 @@ fn every_arrival_schedule_is_scheduler_equivalent() {
         ),
         ("ramp", ArrivalSchedule::ramp(4 * MS, 500 * US)),
     ] {
-        let report = assert_equivalent(name, || {
+        let report = assert_replays(name, || {
             fleet_scenario(schedule, 42, CodeShipping::default())
         });
         assert_eq!(report.cluster.completed, 40, "{name}: fleet must finish");
@@ -223,14 +204,14 @@ fn every_arrival_schedule_is_scheduler_equivalent() {
 }
 
 #[test]
-fn every_code_shipping_policy_is_scheduler_equivalent() {
+fn every_code_shipping_policy_replays_identically() {
     for policy in [
         CodeShipping::BundleTop,
         CodeShipping::Never,
         CodeShipping::BundleReachable,
         CodeShipping::BundleAlways,
     ] {
-        let report = assert_equivalent(&format!("{policy:?}"), || {
+        let report = assert_replays(&format!("{policy:?}"), || {
             fleet_scenario(ArrivalSchedule::uniform(MS), 7, policy)
         });
         assert_eq!(report.cluster.completed, 40, "{policy:?}");
@@ -238,10 +219,10 @@ fn every_code_shipping_policy_is_scheduler_equivalent() {
 }
 
 #[test]
-fn client_requests_are_scheduler_equivalent() {
+fn client_requests_replay_identically() {
     // The photo-share accept-queue path: requests park threads on the
     // socket queue, so delivery interleaving is maximally visible here.
-    let report = assert_equivalent("client requests", || {
+    let report = assert_replays("client requests", || {
         let server = ClassBuilder::new("Srv")
             .method("main", &["n"], |m| {
                 m.line();
@@ -275,12 +256,11 @@ fn client_requests_are_scheduler_equivalent() {
     assert_eq!(report.first().result, Some(5));
 }
 
-/// Per-node event counts must be populated, partition the cluster total,
-/// and agree between schedulers (they are part of the `==` above; this
-/// pins that they are not trivially zero).
+/// Per-node event counts must be populated (they are part of the `==`
+/// above; this pins that they are not trivially zero).
 #[test]
-fn per_node_event_counts_are_populated_and_equal() {
-    let report = assert_equivalent("event counts", || {
+fn per_node_event_counts_are_populated() {
+    let report = assert_replays("event counts", || {
         fleet_scenario(ArrivalSchedule::uniform(MS), 11, CodeShipping::default())
     });
     for node in &report.cluster.per_node {
@@ -289,13 +269,12 @@ fn per_node_event_counts_are_populated_and_equal() {
 }
 
 /// Regression pin: the exact per-node delivery counts of the
-/// single-migration scenario, identical under every scheduler. A change
-/// to event routing, tie-breaking, or the parallel merge that shifts
-/// even one delivery to another node trips this before the subtler
-/// differential suites do.
+/// single-migration scenario. A change to event routing or tie-breaking
+/// that shifts even one delivery to another node trips this before the
+/// subtler suites do.
 #[test]
-fn per_node_event_counts_are_pinned_across_schedulers() {
-    let scenario = || {
+fn per_node_event_counts_are_pinned() {
+    let report = assert_replays("pinned counts", || {
         Scenario::new()
             .slice_ns(10_000)
             .node("home", NodeConfig::cluster("home"))
@@ -304,39 +283,23 @@ fn per_node_event_counts_are_pinned_across_schedulers() {
             .program("Fib", "main", vec![Value::Int(16)])
             .on("home")
             .migrate(When::At(50 * US), Plan::top_to("worker", 2))
-    };
-    let schedulers = [
-        Scheduler::GlobalHeap,
-        Scheduler::Sharded,
-        Scheduler::Parallel { threads: 1 },
-        Scheduler::Parallel { threads: 2 },
-        Scheduler::Parallel { threads: 4 },
-    ];
-    let mut pinned: Option<Vec<(String, u64)>> = None;
-    for s in schedulers {
-        let report = scenario().scheduler(s).run().expect("run");
-        let counts: Vec<(String, u64)> = report
-            .cluster
-            .per_node
-            .iter()
-            .map(|n| (n.name.clone(), n.events))
-            .collect();
-        match &pinned {
-            None => pinned = Some(counts),
-            Some(first) => assert_eq!(first, &counts, "{s:?} shifted deliveries"),
-        }
-    }
-    let counts = pinned.unwrap();
+    });
+    let counts: Vec<(String, u64)> = report
+        .cluster
+        .per_node
+        .iter()
+        .map(|n| (n.name.clone(), n.events))
+        .collect();
     let expect = [("home".to_string(), 15), ("worker".to_string(), 5)];
     assert_eq!(counts, expect, "pinned per-node delivery counts drifted");
 }
 
-/// Fault injection must not cost scheduler equivalence: the chaos RNG
-/// draws in delivery order, which both schedulers reproduce identically,
-/// so crashes, partitions, and seeded loss yield bit-identical reports
+/// Fault injection must not cost replay determinism: the chaos RNG
+/// draws in delivery order, which every run reproduces identically, so
+/// crashes, partitions, and seeded loss yield bit-identical reports
 /// (chaos counters, failure sets, and `lost` buckets included).
 #[test]
-fn chaos_profiles_are_scheduler_equivalent() {
+fn chaos_profiles_replay_identically() {
     use sod::runtime::RetryPolicy;
     use sod::scenario::Chaos;
 
@@ -367,7 +330,7 @@ fn chaos_profiles_are_scheduler_equivalent() {
         ),
     ];
     for (name, chaos) in profiles {
-        let report = assert_equivalent(name, || {
+        let report = assert_replays(name, || {
             fleet_scenario(
                 ArrivalSchedule::bursty(10, 5 * MS).with_jitter(MS),
                 42,
@@ -385,13 +348,13 @@ fn chaos_profiles_are_scheduler_equivalent() {
     }
 }
 
-/// Elastic pools must not cost scheduler equivalence either: controller
+/// Elastic pools must not cost replay determinism either: controller
 /// ticks, cold-start timers, mid-run topology growth, and drain-by-roam
 /// all ride the same deterministic `(time, seq, dst)` order, so every
 /// scale policy yields bit-identical reports — scaling counters and
 /// node-seconds included.
 #[test]
-fn elastic_pools_are_scheduler_equivalent() {
+fn elastic_pools_replay_identically() {
     use sod::scenario::Pool;
     use sod::ScalePolicy;
 
@@ -400,7 +363,7 @@ fn elastic_pools_are_scheduler_equivalent() {
         ("p99 breach", ScalePolicy::P99Breach { budget_ns: 5 * MS }),
         ("step load", ScalePolicy::StepLoad { per_node: 2 }),
     ] {
-        let report = assert_equivalent(name, || {
+        let report = assert_replays(name, || {
             Scenario::new()
                 .slice_ns(10_000)
                 .cpu_contention(true)
@@ -433,7 +396,7 @@ fn elastic_pools_are_scheduler_equivalent() {
 }
 
 // ---------------------------------------------------------------------------
-// Property tests: random fleets through both schedulers.
+// Property tests: random fleets, each run twice.
 // ---------------------------------------------------------------------------
 
 /// A randomized fleet over `nodes` cluster nodes: random arrival
@@ -441,7 +404,6 @@ fn elastic_pools_are_scheduler_equivalent() {
 /// every member homed round-robin across all nodes and offloading to the
 /// last node.
 fn random_fleet(
-    scheduler: Scheduler,
     nodes: usize,
     programs: usize,
     trigger: u8,
@@ -484,21 +446,17 @@ fn random_fleet(
             )
         }
         // Fib never faults on remote objects: arms but never fires, which
-        // must be equivalent too.
+        // must replay too.
         _ => fleet = fleet.migrate(When::OnObjectFaults(1), Plan::top_to(target, 1)),
     }
-    scenario
-        .fleet(fleet)
-        .scheduler(scheduler)
-        .run()
-        .expect("random fleet runs")
+    scenario.fleet(fleet).run().expect("random fleet runs")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn random_fleets_are_scheduler_equivalent(
+    fn random_fleets_replay_identically(
         nodes in 2usize..17,
         programs in 1usize..301,
         trigger in 0u8..4,
@@ -506,29 +464,18 @@ proptest! {
         latency_us in 10u64..2_000,
         seed in 0u64..1_000_000,
     ) {
-        let run = |s| random_fleet(s, nodes, programs, trigger, schedule, latency_us, seed);
-        let global = run(Scheduler::GlobalHeap);
-        let sharded = run(Scheduler::Sharded);
-        prop_assert_eq!(&global, &sharded, "schedulers diverged");
-
-        // Same-seed determinism under Sharded.
-        let again = run(Scheduler::Sharded);
-        prop_assert_eq!(&sharded, &again, "Sharded run is not deterministic");
-
-        // The parallel drain at a seed-derived thread count must match
-        // too — real threads, same canonical merge order.
-        let threads = 1 + (seed as usize % 4);
-        let parallel = run(Scheduler::Parallel { threads });
-        prop_assert_eq!(&global, &parallel, "Parallel({}) diverged", threads);
+        let run = || random_fleet(nodes, programs, trigger, schedule, latency_us, seed);
+        let report = run();
+        prop_assert_eq!(&report, &run(), "same-seed replay diverged");
 
         // Every program completed and computed Fib(12).
-        prop_assert_eq!(sharded.cluster.completed, programs as u64);
-        prop_assert!(sharded.programs().iter().all(|p| p.report.result == Some(144)));
+        prop_assert_eq!(report.cluster.completed, programs as u64);
+        prop_assert!(report.programs().iter().all(|p| p.report.result == Some(144)));
 
         // Byte conservation: per-node send totals partition the cluster
         // total, and the per-program accounting balances against it.
-        let total = sharded.cluster.total_sent();
-        let per_node = sharded
+        let total = report.cluster.total_sent();
+        let per_node = report
             .cluster
             .per_node
             .iter()
@@ -538,20 +485,20 @@ proptest! {
                 object: acc.object + n.sent.object,
             });
         prop_assert_eq!(total, per_node);
-        let state: u64 = sharded
+        let state: u64 = report
             .programs()
             .iter()
             .flat_map(|p| p.report.migrations.iter())
             .map(|m| m.state_bytes)
             .sum();
-        let class: u64 = sharded.programs().iter().map(|p| p.report.class_bytes).sum();
-        let object: u64 = sharded.programs().iter().map(|p| p.report.object_bytes).sum();
+        let class: u64 = report.programs().iter().map(|p| p.report.class_bytes).sum();
+        let object: u64 = report.programs().iter().map(|p| p.report.object_bytes).sum();
         prop_assert_eq!(total.state, state, "state bytes must balance");
         prop_assert_eq!(total.class, class, "class bytes must balance");
         prop_assert_eq!(total.object, object, "object bytes must balance");
 
         // Per-node event counts partition the delivered total (non-zero
         // somewhere: every program ran at least one slice).
-        prop_assert!(sharded.cluster.per_node.iter().map(|n| n.events).sum::<u64>() > 0);
+        prop_assert!(report.cluster.per_node.iter().map(|n| n.events).sum::<u64>() > 0);
     }
 }
