@@ -8,9 +8,7 @@
 //!
 //! Semantics match the real crate for this subset: `Bytes` getters advance
 //! the cursor, `split_to`/`slice` share the underlying allocation,
-//! `BytesMut::freeze` converts without copying, and [`Bytes::try_into_mut`]
-//! reclaims the allocation when this handle is the last owner (the hook the
-//! wire codec's buffer pool uses to recycle delivered frames).
+//! and `BytesMut::freeze` converts without copying.
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -86,21 +84,6 @@ impl Bytes {
         head
     }
 
-    /// Reclaim the allocation as a [`BytesMut`] when this handle is the last
-    /// owner; returns `self` unchanged otherwise. Mirrors the real crate's
-    /// `try_into_mut` (bytes >= 1.7) and is what lets a buffer pool recycle a
-    /// frame after its final delivery without copying.
-    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        match Arc::try_unwrap(self.data) {
-            Ok(v) => Ok(BytesMut { data: v }),
-            Err(data) => Err(Bytes {
-                data,
-                start: self.start,
-                end: self.end,
-            }),
-        }
-    }
-
     fn take(&mut self, n: usize) -> &[u8] {
         assert!(n <= self.end - self.start, "buffer underflow");
         let s = &self.data[self.start..self.start + n];
@@ -169,16 +152,6 @@ impl BytesMut {
         BytesMut {
             data: Vec::with_capacity(n),
         }
-    }
-
-    /// Drop the contents, keeping the allocation (for buffer reuse).
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Bytes of backing capacity currently reserved.
-    pub fn capacity(&self) -> usize {
-        self.data.capacity()
     }
 
     /// Convert into an immutable [`Bytes`] without copying.
@@ -256,23 +229,5 @@ mod tests {
     fn underflow_panics() {
         let mut b = Bytes::from_static(&[1]);
         let _ = b.get_u32_le();
-    }
-
-    #[test]
-    fn try_into_mut_reclaims_sole_owner() {
-        let b = Bytes::from(vec![1, 2, 3]);
-        let mut m = b.try_into_mut().expect("sole owner reclaims");
-        assert_eq!(&*m, &[1, 2, 3]);
-        m.clear();
-        assert_eq!(m.len(), 0);
-        assert!(m.capacity() >= 3, "allocation retained");
-    }
-
-    #[test]
-    fn try_into_mut_rejects_shared_owner() {
-        let b = Bytes::from(vec![1, 2, 3]);
-        let c = b.clone();
-        let back = b.try_into_mut().expect_err("shared handle stays Bytes");
-        assert_eq!(back, c);
     }
 }

@@ -1,27 +1,17 @@
-//! Wire codec throughput: class files and captured states, fresh-buffer
-//! versus pooled encoding, plus decode.
+//! Wire codec throughput: class files and captured states, encode and
+//! decode.
 use criterion::{criterion_group, criterion_main, Criterion};
 use sod_bench::codec::synthetic_state;
-use sod_vm::wire::{
-    decode_class, decode_state, encode_class, encode_class_pooled, encode_state,
-    encode_state_pooled, BufferPool,
-};
+use sod_vm::wire::{decode_class, decode_state, encode_class, encode_state};
 use sod_workloads::programs::{fft_class, nqueens_class};
 
 fn bench(c: &mut Criterion) {
     let classes = [nqueens_class(), fft_class()];
     let mut g = c.benchmark_group("codec");
-    let pool = BufferPool::new();
     for class in &classes {
         let encoded = encode_class(class).unwrap();
         g.bench_function(format!("encode_{}", class.name), |b| {
             b.iter(|| encode_class(class).unwrap())
-        });
-        g.bench_function(format!("encode_pooled_{}", class.name), |b| {
-            b.iter(|| {
-                let f = encode_class_pooled(&pool, class).unwrap();
-                pool.recycle(f)
-            })
         });
         g.bench_function(format!("decode_{}", class.name), |b| {
             b.iter(|| decode_class(encoded.clone()).unwrap())
@@ -34,12 +24,6 @@ fn bench(c: &mut Criterion) {
         let frame = encode_state(&state).unwrap();
         g.bench_function(format!("encode_{name}"), |b| {
             b.iter(|| encode_state(&state).unwrap())
-        });
-        g.bench_function(format!("encode_pooled_{name}"), |b| {
-            b.iter(|| {
-                let f = encode_state_pooled(&pool, &state).unwrap();
-                pool.recycle(f)
-            })
         });
         g.bench_function(format!("decode_{name}"), |b| {
             b.iter(|| decode_state(frame.clone()).unwrap())

@@ -1,13 +1,13 @@
-//! Host-time cost of the wire codec: encode-once pooled framing versus
-//! the pre-codec habit of re-serializing a payload at every size-query
+//! Host-time cost of the wire codec: encode-once framing versus the
+//! pre-codec habit of re-serializing a payload at every size-query
 //! site.
 //!
 //! Before the encode-once rework, a shipped state was a deep Rust value
 //! whose byte size was recomputed arithmetically everywhere it was
 //! needed; anything that wanted the *actual* wire image (or deep-cloned
 //! the value per hop) paid a fresh serialization each time. Now the
-//! payload is serialized exactly once into a pooled buffer and travels
-//! as a cheap-to-clone frame whose length *is* the byte metric, so every
+//! payload is serialized exactly once and travels as a cheap-to-clone
+//! frame whose length *is* the byte metric, so every
 //! subsequent "how big is this?" is a field read. Virtual-time results
 //! are bit-identical by construction (`tests/codec_equivalence.rs` pins
 //! it); the only thing this measures is host nanoseconds.
@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use sod_vm::capture::{CapturedFrame, CapturedState, CapturedStatics, CapturedValue};
-use sod_vm::wire::{decode_state, encode_state, encode_state_pooled, BufferPool};
+use sod_vm::wire::{decode_state, encode_state};
 
 /// Timing repetitions per row; the minimum is reported to shed scheduler
 /// noise.
@@ -73,14 +73,14 @@ pub fn states() -> Vec<(&'static str, CapturedState)> {
 
 /// One measured row: host ns for a hop's worth of byte-size answers on
 /// the legacy path (re-encode per query) and the encode-once path (one
-/// pooled encode, then length reads), plus the decode cost both pay.
+/// encode, then length reads), plus the decode cost both pay.
 pub struct CodecRow {
     pub state: &'static str,
-    /// Wire frame length (== the arithmetic `wire_bytes()`, asserted).
+    /// Wire frame length (== the counted `wire_bytes()`, asserted).
     pub bytes: u64,
     /// Host ns per hop when every size query re-serializes the payload.
     pub reencode_ns: f64,
-    /// Host ns per hop with one pooled encode and `len()` queries.
+    /// Host ns per hop with one encode and `len()` queries.
     pub once_ns: f64,
     /// Host ns to decode the frame at the destination.
     pub decode_ns: f64,
@@ -106,8 +106,7 @@ fn time(mut f: impl FnMut() -> u64) -> f64 {
 
 /// Measure one captured state on both paths.
 pub fn measure(name: &'static str, state: &CapturedState) -> CodecRow {
-    let pool = BufferPool::new();
-    let frame = encode_state_pooled(&pool, state).expect("state encodes");
+    let frame = encode_state(state).expect("state encodes");
     assert_eq!(frame.len() as u64, state.wire_bytes(), "{name}: size drift");
     let bytes = frame.len() as u64;
 
@@ -121,15 +120,14 @@ pub fn measure(name: &'static str, state: &CapturedState) -> CodecRow {
         }
         total
     });
-    // Encode-once: one pooled serialization per hop, then length reads.
+    // Encode-once: one serialization per hop, then length reads.
     let once_ns = time(|| {
         let mut total = 0u64;
         for _ in 0..INNER {
-            let f = encode_state_pooled(&pool, state).expect("encode");
+            let f = encode_state(state).expect("encode");
             for _ in 0..QUERIES_PER_HOP {
                 total += f.len() as u64;
             }
-            pool.recycle(f);
         }
         total
     });

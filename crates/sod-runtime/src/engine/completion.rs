@@ -30,7 +30,7 @@ impl Cluster {
             let w = &self.sessions[&sid];
             (w.program, w.home)
         };
-        let batch = match collect_flush(&mut self.nodes[node].vm, retval, &self.buf_pool) {
+        let batch = match collect_flush(&mut self.nodes[node].vm, retval) {
             Ok(b) => b,
             Err(e) => {
                 self.fail_session(

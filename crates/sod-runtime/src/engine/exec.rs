@@ -59,10 +59,20 @@ impl Cluster {
         };
         let slice = self.slice_ns;
         let instr_before = self.nodes[node].vm.instr_count;
-        let (out, spent) = self.nodes[node]
-            .vm
-            .run(tid, slice, mode)
-            .expect("vm run failed");
+        let (out, spent) = match self.nodes[node].vm.run(tid, slice, mode) {
+            Ok(r) => r,
+            Err(e) => {
+                // An engine-level VM error (malformed bytecode, type
+                // confusion) fails this guest only; the fleet runs on.
+                let error = format!("vm run failed: {e}");
+                match self.thread_owner.get(&(node, tid)) {
+                    Some(Owner::Worker(s)) => self.fail_session(*s, error, ctx.now()),
+                    _ => self.fail_program(owner_program, error, ctx.now()),
+                }
+                self.touch(node, tid);
+                return;
+            }
+        };
         let elapsed = self.nodes[node].cfg.scale(spent).max(1);
         // Attribute the slice to the program that owns the thread (root or
         // worker session) and to the node that ran it: with many programs

@@ -9,7 +9,7 @@ use sod_net::SimCtx;
 use sod_vm::capture::{capture_segment, CapturedState};
 use sod_vm::class::ClassDef;
 use sod_vm::tooling::ToolingPath;
-use sod_vm::wire::{class_wire_bytes, encode_state_pooled};
+use sod_vm::wire::{class_wire_bytes, encode_state};
 
 use crate::costs;
 use crate::msg::{MigrationPlan, Msg, ProgramId, ReturnTarget, SegmentInfo, SessionId};
@@ -193,7 +193,7 @@ impl Cluster {
             // Encode-once: the state is serialized here and never again —
             // `frame.len()` is the byte metric at every later touch point
             // (ship accounting, transfer cost, loss credit, restore cost).
-            let frame = match encode_state_pooled(&self.buf_pool, &state) {
+            let frame = match encode_state(&state) {
                 Ok(f) => f,
                 Err(e) => {
                     // Unencodable capture (a name or sequence overflowed
@@ -203,7 +203,6 @@ impl Cluster {
                     return;
                 }
             };
-            debug_assert_eq!(frame.len() as u64, state.wire_bytes());
             self.programs[program as usize].staged.push(StagedSegment {
                 dest,
                 info,
@@ -524,14 +523,13 @@ impl Cluster {
         let dest = self.sessions[&sid].pending_roam.expect("roam dest");
         let program = self.sessions[&sid].program;
         let home = self.sessions[&sid].home;
-        let batch =
-            match super::objects::collect_flush(&mut self.nodes[node].vm, None, &self.buf_pool) {
-                Ok(b) => b,
-                Err(e) => {
-                    self.fail_session(sid, format!("roam flush encode failed: {e}"), ctx.now());
-                    return;
-                }
-            };
+        let batch = match super::objects::collect_flush(&mut self.nodes[node].vm, None) {
+            Ok(b) => b,
+            Err(e) => {
+                self.fail_session(sid, format!("roam flush encode failed: {e}"), ctx.now());
+                return;
+            }
+        };
         if batch.is_empty() {
             // Nothing to reconcile: capture immediately.
             self.roam_capture_and_ship(node, tid, sid, dest, elapsed, ctx);
@@ -569,15 +567,6 @@ impl Cluster {
         let (state, tool_ns) =
             capture_segment(&mut self.nodes[node].vm, tid, nframes, ToolingPath::Jvmti)
                 .expect("roam capture");
-        let dest_jvmti = self.nodes[dest].cfg.has_jvmti;
-        let capture_ns = if dest_jvmti {
-            self.nodes[node].cfg.scale(tool_ns)
-        } else {
-            self.nodes[node]
-                .cfg
-                .scale(costs::PORTABLE_CAPTURE_FIXED_NS + costs::serialize_ns(state.wire_bytes()))
-        };
-
         let (program, home, return_to, home_pop_frames) = {
             let w = &self.sessions[&sid];
             (w.program, w.home, w.return_to, w.home_pop_frames)
@@ -616,14 +605,22 @@ impl Cluster {
             *slot = new_sid;
         }
 
-        let frame = match encode_state_pooled(&self.buf_pool, &state) {
+        let frame = match encode_state(&state) {
             Ok(f) => f,
             Err(e) => {
                 self.fail_session(sid, format!("roam state encode failed: {e}"), ctx.now());
                 return;
             }
         };
-        debug_assert_eq!(frame.len() as u64, state.wire_bytes());
+        // The hop serializes the state anyway, so a portable capture is
+        // priced from the frame it produced.
+        let capture_ns = if self.nodes[dest].cfg.has_jvmti {
+            self.nodes[node].cfg.scale(tool_ns)
+        } else {
+            self.nodes[node]
+                .cfg
+                .scale(costs::PORTABLE_CAPTURE_FIXED_NS + costs::serialize_ns(frame.len() as u64))
+        };
 
         self.ship_segment(
             node,

@@ -73,7 +73,6 @@ use std::collections::HashMap;
 
 use sod_net::{ChaosPlan, Sim, SimCtx, Topology, World};
 use sod_vm::value::{ObjId, Value};
-use sod_vm::wire::BufferPool;
 
 use crate::metrics::{ChaosCounters, ClusterReport, NetBytes, NodeUtilization, RunReport};
 use crate::msg::{HostReply, MigrationPlan, Msg, ProgramId, SessionId};
@@ -192,10 +191,6 @@ pub struct Cluster {
     /// `class_refs`: the streaming size count walks every method body, so
     /// run it once per class name, not per migration/class-serve.
     class_sizes: HashMap<String, u64>,
-    /// Encode-buffer free list shared by every wire-path encoder (state
-    /// captures, object replies, flush batches). Pool state never
-    /// influences encoded bytes, so reuse cannot perturb determinism.
-    buf_pool: BufferPool,
     /// Whether a fault-injection plan is armed on the driving simulator.
     /// Gates every chaos-only code path (deadline timers, stale-message
     /// guards), so fault-free runs are event-for-event identical to the
@@ -232,7 +227,6 @@ impl Cluster {
             code_shipping: CodeShipping::default(),
             class_refs: HashMap::new(),
             class_sizes: HashMap::new(),
-            buf_pool: BufferPool::new(),
             chaos_enabled: false,
             retry_policy: RetryPolicy::default(),
             migration_timeout_ns: DEFAULT_MIGRATION_TIMEOUT_NS,

@@ -8,8 +8,8 @@ use sod_vm::capture::CapturedValue;
 use sod_vm::error::VmResult;
 use sod_vm::value::{ObjId, Value};
 use sod_vm::wire::{
-    decode_object, encode_object_pooled, extract_closure, extract_dirty, extract_object,
-    install_object, BufferPool, FrameBatch, WireObject,
+    decode_object, encode_object, extract_closure, extract_dirty, extract_object, install_object,
+    FrameBatch, WireObject,
 };
 
 use crate::costs;
@@ -47,7 +47,7 @@ impl Cluster {
         // payload length is the object byte metric at both ends.
         let mut batch = FrameBatch::new();
         for obj in std::iter::once(&root).chain(prefetched.iter()) {
-            match encode_object_pooled(&self.buf_pool, obj) {
+            match encode_object(obj) {
                 Ok(f) => batch.push(f),
                 Err(e) => {
                     self.fail_program(program, format!("object encode failed: {e}"), ctx.now());
@@ -100,17 +100,14 @@ impl Cluster {
         // Decode every frame before touching the heap so a malformed reply
         // fails the program without half-installing the closure.
         let mut objects: Vec<WireObject> = Vec::with_capacity(batch.len());
-        for f in batch.frames() {
-            match decode_object(f.clone()) {
+        for f in batch.into_frames() {
+            match decode_object(f) {
                 Ok(o) => objects.push(o),
                 Err(e) => {
                     self.fail_session(sid, format!("object reply decode failed: {e}"), ctx.now());
                     return;
                 }
             }
-        }
-        for f in batch.into_frames() {
-            self.buf_pool.recycle(f);
         }
         let (root, prefetched) = objects
             .split_first()
@@ -143,17 +140,14 @@ impl Cluster {
         // Decode the whole batch before touching the heap so a malformed
         // frame fails the program without a half-applied flush.
         let mut objects: Vec<WireObject> = Vec::with_capacity(batch.len());
-        for f in batch.frames() {
-            match decode_object(f.clone()) {
+        for f in batch.into_frames() {
+            match decode_object(f) {
                 Ok(o) => objects.push(o),
                 Err(e) => {
                     self.fail_program(program, format!("flush decode failed: {e}"), ctx.now());
                     return;
                 }
             }
-        }
-        for f in batch.into_frames() {
-            self.buf_pool.recycle(f);
         }
         let objects = &objects[..];
         let vm = &mut self.nodes[home].vm;
@@ -285,13 +279,12 @@ pub(super) fn export_with_temps(vm: &sod_vm::interp::Vm, v: Value) -> CapturedVa
 
 /// Collect the write-back set of a worker VM: dirty cached objects plus all
 /// worker-created objects reachable from them or from the return value.
-/// Each object (temp ids for worker-created ones) is encoded exactly once
-/// into a pooled frame; the returned batch's payload length is the flush
-/// byte metric. Clears dirty bits on success.
+/// Each object (temp ids for worker-created ones) is encoded exactly once;
+/// the returned batch's payload length is the flush byte metric. Clears
+/// dirty bits on success.
 pub(super) fn collect_flush(
     vm: &mut sod_vm::interp::Vm,
     retval: Option<Value>,
-    pool: &BufferPool,
 ) -> VmResult<FrameBatch> {
     let mut roots: Vec<ObjId> = vm.heap.dirty_objects().map(|(id, _)| id).collect();
     if let Some(Value::Ref(id)) = retval {
@@ -333,7 +326,7 @@ pub(super) fn collect_flush(
             _ => Vec::new(),
         };
         let obj = extract_dirty(&vm.heap, id, TEMP_ID_BASE).expect("extract dirty");
-        batch.push(encode_object_pooled(pool, &obj)?);
+        batch.push(encode_object(&obj)?);
         for n in neighbours {
             if seen.insert(n) {
                 queue.push(n);

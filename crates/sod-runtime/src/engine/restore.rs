@@ -52,13 +52,8 @@ impl Cluster {
                 return;
             }
         }
-        let state = match decode_state(state.clone()) {
-            Ok(decoded) => {
-                // The frame's sole owner now: hand the buffer back to the
-                // pool for the next capture.
-                self.buf_pool.recycle(state);
-                decoded
-            }
+        let state = match decode_state(state) {
+            Ok(decoded) => decoded,
             Err(e) => {
                 // Malformed frame: typed rejection, never a panic. The
                 // shipped bytes die here, like a stale arrival.

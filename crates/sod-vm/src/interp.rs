@@ -1365,11 +1365,14 @@ impl Vm {
                             found: "array/string",
                         });
                     };
-                    let target_ci = self
-                        .class_index
-                        .get(class.as_ref())
-                        .copied()
-                        .ok_or_else(|| VmError::ClassNotFound(class.to_string()))?;
+                    let Some(target_ci) = self.class_index.get(class.as_ref()).copied() else {
+                        // The receiver (a fetched object) names a class that
+                        // never shipped here: undo the pop and park on a
+                        // class miss; the load re-executes this instruction.
+                        let cname = class.to_string();
+                        push!(base);
+                        return self.park_class_miss(tid, cname);
+                    };
                     let fname = self.classes[ci].def.pool_str(fidx)?;
                     let fi = self.classes[target_ci]
                         .instance_field_idx(fname)
@@ -1420,11 +1423,13 @@ impl Vm {
                 }
                 let (target_ci, fi) = {
                     let class = self.heap.get(id)?.class_name();
-                    let target_ci = self
-                        .class_index
-                        .get(class)
-                        .copied()
-                        .ok_or_else(|| VmError::ClassNotFound(class.to_owned()))?;
+                    let Some(target_ci) = self.class_index.get(class).copied() else {
+                        // As GetField: undo both pops and park on the miss.
+                        let cname = class.to_owned();
+                        push!(base);
+                        push!(v);
+                        return self.park_class_miss(tid, cname);
+                    };
                     let fname = self.classes[ci].def.pool_str(fidx)?;
                     let fi = self.classes[target_ci]
                         .instance_field_idx(fname)
@@ -1823,11 +1828,11 @@ impl Vm {
                     // reaching here means the handler chain is malformed.
                     return Err(VmError::RestoreProtocol("BringObjField on null base"));
                 };
-                let obj = self.heap.get(base_id)?;
-                let class = obj.class_name().to_owned();
-                let target_ci = self
-                    .class_idx(&class)
-                    .ok_or_else(|| VmError::ClassNotFound(class.clone()))?;
+                let class = self.heap.get(base_id)?.class_name().to_owned();
+                let Some(target_ci) = self.class_idx(&class) else {
+                    // Nothing was popped: park and re-execute after the load.
+                    return self.park_class_miss(tid, class);
+                };
                 let field_idx = self.classes[target_ci]
                     .instance_field_idx(&fname)
                     .ok_or_else(|| VmError::FieldNotFound {
@@ -1854,9 +1859,9 @@ impl Vm {
             BringObjStaticTo(cidx, fidx, dest) => {
                 let cname = self.classes[ci].def.pool_str(cidx)?.to_owned();
                 let fname = self.classes[ci].def.pool_str(fidx)?.to_owned();
-                let target_ci = self
-                    .class_idx(&cname)
-                    .ok_or_else(|| VmError::ClassNotFound(cname.clone()))?;
+                let Some(target_ci) = self.class_idx(&cname) else {
+                    return self.park_class_miss(tid, cname);
+                };
                 let static_idx = self.classes[target_ci]
                     .static_field_idx(&fname)
                     .ok_or_else(|| VmError::FieldNotFound {
@@ -2429,6 +2434,47 @@ mod tests {
         vm.resume_class_loaded(tid).unwrap();
         let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
         assert_eq!(out, StepOutcome::Returned(Some(Value::Int(9))));
+    }
+
+    /// A fetched object can name a class this VM never loaded. `GetField`
+    /// and `PutField` on it park on a class miss with their operands back
+    /// on the stack, and re-execute once the class is loaded.
+    #[test]
+    fn field_access_on_an_unloaded_class_parks_until_loaded() {
+        let cell = ClassDef::new("Cell").with_field(FieldDef::instance("val", TypeOf::Int));
+        let mut main = ClassDef::new("Main");
+        let val = main.intern("val");
+        // get(o) = o.val; put(o) = { o.val = 5; o.val }
+        main.methods.push(MethodDef::new("get", 1, 1).with_code(
+            vec![Instr::Load(0), Instr::GetField(val), Instr::RetV],
+            vec![1; 3],
+        ));
+        main.methods.push(MethodDef::new("put", 1, 1).with_code(
+            vec![
+                Instr::Load(0),
+                Instr::PushI(5),
+                Instr::PutField(val),
+                Instr::Load(0),
+                Instr::GetField(val),
+                Instr::RetV,
+            ],
+            vec![1; 6],
+        ));
+        for (method, expect) in [("get", 7), ("put", 5)] {
+            let mut vm = vm_with(&[main.clone()]);
+            let obj = vm.heap.alloc_obj("Cell", vec![Value::Int(7)]);
+            let tid = vm.spawn("Main", method, &[Value::Ref(obj)]).unwrap();
+            let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
+            assert_eq!(out, StepOutcome::ClassMiss("Cell".to_owned()), "{method}");
+            vm.load_class(&cell).unwrap();
+            vm.resume_class_loaded(tid).unwrap();
+            let (out, _) = vm.run(tid, u64::MAX, RunMode::Normal).unwrap();
+            assert_eq!(
+                out,
+                StepOutcome::Returned(Some(Value::Int(expect))),
+                "{method}"
+            );
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Hand-rolled (no serde): the encoded length *is* the paper's
 //! "Java-serialized size", which drives every transfer-time computation in
 //! the evaluation, so the codec and the cost model must be the same thing.
-//! `CapturedState::wire_bytes()` (an arithmetic formula), the streaming
-//! [`CountBuf`] counter, and the actual encoders all agree byte-for-byte —
-//! property tests pin `encode_*(x).len() == x.wire_bytes()` for every
-//! entity, which is what lets the runtime serialize **once** and use the
-//! frame length as the byte metric everywhere.
+//! There is one size definition: an encoder run against [`CountBuf`], a
+//! sink that only counts. `CapturedState::wire_bytes()` and
+//! [`class_wire_bytes`] are such counting passes over the very `put_*`
+//! functions the encoders use, so a size can never disagree with the frame
+//! it describes. The runtime serializes **once** and uses the frame length
+//! as the byte metric everywhere after.
 //!
 //! Encodable entities:
 //! * [`CapturedState`] — SOD state messages (16-byte magic/kind header,
@@ -24,13 +25,10 @@
 //! prefix width with [`VmError::Encode`], so encode and decode can never
 //! disagree on layout.
 //!
-//! Buffer lifecycle: encoders can write into pooled buffers
-//! ([`BufferPool`]) checked out at encode time and recycled after the last
-//! delivery (`Bytes::try_into_mut` reclaims the allocation when the frame's
-//! refcount drops to one). Per-link sends batch multiple payloads into one
-//! length-prefixed [`FrameBatch`] per delivery window.
-
-use std::sync::Mutex;
+//! Frames are immutable refcounted [`Bytes`]: an encoded frame is shipped,
+//! retried and decoded without copying. Object replies and flushes carry
+//! their frames in a [`FrameBatch`], an in-process list whose payload sum
+//! is the object byte metric; it has no wire form of its own.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -67,16 +65,6 @@ pub enum WireObjBody {
         elems: Vec<CapturedValue>,
     },
     Str(String),
-}
-
-impl WireObject {
-    /// Serialized size (the object-fetch transfer cost), counted without
-    /// allocating. Equals `encode_object(self).len()`.
-    pub fn wire_bytes(&self) -> u64 {
-        let mut counter = CountBuf::default();
-        let _ = put_object(&mut counter, self);
-        counter.count()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -120,76 +108,13 @@ impl BufMut for CountBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Buffer pool
+// Frame batches (the frames one message carries)
 // ---------------------------------------------------------------------------
 
-/// Retain at most this many idle buffers (beyond that, drop to the allocator).
-const POOL_MAX_IDLE: usize = 64;
-/// Capacity pre-reserved for buffers minted when the pool is empty.
-const POOL_SEED_CAPACITY: usize = 256;
-
-/// A small free-list of encode buffers. Encoders check a [`BytesMut`] out,
-/// fill it, and freeze it into the [`Bytes`] frame that travels; after the
-/// final delivery [`BufferPool::recycle`] reclaims the allocation when the
-/// frame was the last owner. Pool state never influences encoded bytes, so
-/// reuse cannot perturb determinism.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    free: Mutex<Vec<BytesMut>>,
-}
-
-impl BufferPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Take a cleared buffer from the free list, or mint a fresh one.
-    pub fn checkout(&self) -> BytesMut {
-        self.free
-            .lock()
-            .expect("buffer pool lock")
-            .pop()
-            .unwrap_or_else(|| BytesMut::with_capacity(POOL_SEED_CAPACITY))
-    }
-
-    /// Return a delivered frame's allocation to the free list. Succeeds only
-    /// when `frame` is the last handle on its allocation (clones still in
-    /// flight keep it alive); returns whether the buffer was reclaimed.
-    pub fn recycle(&self, frame: Bytes) -> bool {
-        match frame.try_into_mut() {
-            Ok(mut buf) => {
-                buf.clear();
-                self.give_back(buf);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Return a checked-out buffer that never became a frame.
-    pub fn give_back(&self, mut buf: BytesMut) {
-        buf.clear();
-        let mut free = self.free.lock().expect("buffer pool lock");
-        if free.len() < POOL_MAX_IDLE {
-            free.push(buf);
-        }
-    }
-
-    /// Idle buffers currently held.
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("buffer pool lock").len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame batches (one length-prefixed frame per delivery window)
-// ---------------------------------------------------------------------------
-
-/// An ordered batch of encoded frames travelling over one link in one
-/// delivery window, wire form `[u32 n] ([u32 len_i] [payload_i])*`.
-/// [`FrameBatch::payload_bytes`] excludes the framing overhead, so batching
-/// leaves every byte metric numerically identical to per-payload sends.
+/// The encoded frames one object reply or flush message carries, in push
+/// order. It lives only inside the simulator's messages: the engine never
+/// serializes a batch, and [`FrameBatch::payload_bytes`] — the object byte
+/// metric — is the sum of the member frames alone.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FrameBatch {
     frames: Vec<Bytes>,
@@ -221,72 +146,14 @@ impl FrameBatch {
         &self.frames
     }
 
-    /// Consume the batch, yielding the owned frames (e.g. to recycle their
-    /// allocations into a [`BufferPool`] after the final delivery).
+    /// Consume the batch, yielding the owned frames.
     pub fn into_frames(self) -> Vec<Bytes> {
         self.frames
     }
 
-    /// Sum of payload lengths — the byte metric, identical to summing
-    /// `wire_bytes()` over the original values.
+    /// Sum of payload lengths: the byte metric.
     pub fn payload_bytes(&self) -> u64 {
         self.frames.iter().map(|f| f.len() as u64).sum()
-    }
-
-    /// Encode the batch into its single length-prefixed delivery frame.
-    pub fn encode(&self) -> VmResult<Bytes> {
-        let mut buf =
-            BytesMut::with_capacity(4 + self.frames.len() * 4 + self.payload_bytes() as usize);
-        self.put_into(&mut buf)?;
-        Ok(buf.freeze())
-    }
-
-    /// Encode into a pooled buffer (see [`BufferPool`]).
-    pub fn encode_pooled(&self, pool: &BufferPool) -> VmResult<Bytes> {
-        let mut buf = pool.checkout();
-        self.put_into(&mut buf)?;
-        Ok(buf.freeze())
-    }
-
-    fn put_into<B: BufMut>(&self, buf: &mut B) -> VmResult<()> {
-        buf.put_u32_le(seq_len32(self.frames.len(), "frame batch too large")?);
-        for f in &self.frames {
-            buf.put_u32_le(seq_len32(f.len(), "batched frame too large")?);
-            buf.put_slice(f);
-        }
-        Ok(())
-    }
-
-    /// Decode a delivery frame back into its payload frames. Zero-copy: the
-    /// returned frames are sub-views of `buf`'s allocation.
-    pub fn decode(mut buf: Bytes) -> VmResult<FrameBatch> {
-        let n = get_u32(&mut buf)? as usize;
-        ensure_seq(&buf, n, 4, "frame batch count overruns buffer")?;
-        let mut frames = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = get_u32(&mut buf)? as usize;
-            if buf.remaining() < len {
-                return Err(VmError::Decode("batched frame truncated"));
-            }
-            frames.push(buf.split_to(len));
-        }
-        Ok(FrameBatch { frames })
-    }
-}
-
-impl FromIterator<Bytes> for FrameBatch {
-    fn from_iter<I: IntoIterator<Item = Bytes>>(iter: I) -> Self {
-        FrameBatch {
-            frames: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a FrameBatch {
-    type Item = &'a Bytes;
-    type IntoIter = std::slice::Iter<'a, Bytes>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.frames.iter()
     }
 }
 
@@ -452,7 +319,6 @@ fn get_values16(buf: &mut Bytes) -> VmResult<Vec<CapturedValue>> {
 // ---------------------------------------------------------------------------
 
 /// Write a captured state message to any [`BufMut`] sink. The layout is
-/// sized so the frame length equals `CapturedState::wire_bytes()` exactly:
 /// a 16-byte `[magic][kind][nframes][nstatics]` header, then per frame
 /// `[u16 class_len][class][u16 method_len][method][u32 pc][u32 nlocals]
 /// [locals]` (12 fixed bytes) and per statics entry
@@ -481,16 +347,22 @@ fn put_state<B: BufMut>(buf: &mut B, state: &CapturedState) -> VmResult<()> {
     Ok(())
 }
 
+impl CapturedState {
+    /// Serialized size of the state message (drives transfer time):
+    /// the state encoder run against a [`CountBuf`], so it equals
+    /// `encode_state(self).len()`. An unencodable state (a length
+    /// overflowing its prefix) is rejected by `encode_state` before it
+    /// ships, so its partial count is never used as a transfer size.
+    pub fn wire_bytes(&self) -> u64 {
+        let mut counter = CountBuf::default();
+        let _ = put_state(&mut counter, self);
+        counter.count()
+    }
+}
+
 /// Encode a captured state message into a fresh exact-size buffer.
 pub fn encode_state(state: &CapturedState) -> VmResult<Bytes> {
     let mut buf = BytesMut::with_capacity(state.wire_bytes() as usize);
-    put_state(&mut buf, state)?;
-    Ok(buf.freeze())
-}
-
-/// Encode a captured state message into a pooled buffer.
-pub fn encode_state_pooled(pool: &BufferPool, state: &CapturedState) -> VmResult<Bytes> {
-    let mut buf = pool.checkout();
     put_state(&mut buf, state)?;
     Ok(buf.freeze())
 }
@@ -558,13 +430,6 @@ fn put_object<B: BufMut>(buf: &mut B, obj: &WireObject) -> VmResult<()> {
 /// Encode a shipped heap object.
 pub fn encode_object(obj: &WireObject) -> VmResult<Bytes> {
     let mut buf = BytesMut::with_capacity(64);
-    put_object(&mut buf, obj)?;
-    Ok(buf.freeze())
-}
-
-/// Encode a shipped heap object into a pooled buffer.
-pub fn encode_object_pooled(pool: &BufferPool, obj: &WireObject) -> VmResult<Bytes> {
-    let mut buf = pool.checkout();
     put_object(&mut buf, obj)?;
     Ok(buf.freeze())
 }
@@ -721,12 +586,6 @@ pub fn extract_dirty(heap: &Heap, id: ObjId, temp_base: ObjId) -> VmResult<WireO
     };
     let home_id = obj.home_id().unwrap_or(temp_base + id);
     Ok(WireObject { home_id, body })
-}
-
-/// Serialized size of a [`crate::heap::HeapObj`] as shipped (for cost models that need a
-/// size without building the message).
-pub fn object_wire_bytes(heap: &Heap, id: ObjId) -> VmResult<u64> {
-    Ok(extract_object(heap, id)?.wire_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -1052,13 +911,6 @@ pub fn encode_class(c: &ClassDef) -> VmResult<Bytes> {
     Ok(buf.freeze())
 }
 
-/// Encode a class definition into a pooled buffer.
-pub fn encode_class_pooled(pool: &BufferPool, c: &ClassDef) -> VmResult<Bytes> {
-    let mut buf = pool.checkout();
-    put_class(&mut buf, c)?;
-    Ok(buf.freeze())
-}
-
 /// Decode a class definition.
 pub fn decode_class(mut buf: Bytes) -> VmResult<ClassDef> {
     let name = get_str(&mut buf)?;
@@ -1242,14 +1094,6 @@ mod tests {
         );
         let c = sample_class();
         assert_eq!(encode_class(&c).unwrap().len() as u64, class_wire_bytes(&c));
-        let obj = WireObject {
-            home_id: 7,
-            body: WireObjBody::Obj {
-                class: "Point".into(),
-                fields: vec![CapturedValue::Int(1), CapturedValue::Null],
-            },
-        };
-        assert_eq!(encode_object(&obj).unwrap().len() as u64, obj.wire_bytes());
     }
 
     #[test]
@@ -1489,38 +1333,9 @@ mod tests {
             batch.payload_bytes(),
             class_wire_bytes(&c) + state.wire_bytes()
         );
-        let delivered = batch.encode().unwrap();
-        // Framing overhead: u32 count + u32 per frame.
-        assert_eq!(delivered.len() as u64, 4 + 8 + batch.payload_bytes());
-        let back = FrameBatch::decode(delivered).unwrap();
-        assert_eq!(back, batch);
-        assert_eq!(decode_class(back.frames()[0].clone()).unwrap(), c);
-        assert_eq!(decode_state(back.frames()[1].clone()).unwrap(), state);
-
-        // Corrupt batch counts are rejected before allocation.
-        let mut b = BytesMut::new();
-        b.put_u32_le(u32::MAX);
-        assert_eq!(
-            FrameBatch::decode(b.freeze()),
-            Err(VmError::Decode("frame batch count overruns buffer"))
-        );
-    }
-
-    #[test]
-    fn buffer_pool_recycles_last_owner() {
-        let pool = BufferPool::new();
-        let state = sample_state();
-        let frame = encode_state_pooled(&pool, &state).unwrap();
-        assert_eq!(pool.idle(), 0);
-        let cheap = frame.clone();
-        assert!(!pool.recycle(frame), "clone in flight blocks reclaim");
-        assert_eq!(decode_state(cheap.clone()).unwrap(), state);
-        assert!(pool.recycle(cheap), "last owner reclaims");
-        assert_eq!(pool.idle(), 1);
-        // The recycled buffer is reused, cleared.
-        let again = encode_state_pooled(&pool, &state).unwrap();
-        assert_eq!(pool.idle(), 0);
-        assert_eq!(again.len() as u64, state.wire_bytes());
+        let frames = batch.into_frames();
+        assert_eq!(decode_class(frames[0].clone()).unwrap(), c);
+        assert_eq!(decode_state(frames[1].clone()).unwrap(), state);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Differential suite for the encode-once wire path.
 //!
-//! The codec rework (pooled single-shot encoding, `Bytes` frames, batched
-//! object delivery) must be *observationally invisible*: every byte metric,
+//! The codec (single-shot encoding, `Bytes` frames, batched object
+//! delivery) must be *observationally invisible*: every byte metric,
 //! latency percentile, and makespan of a deterministic fleet run has to
-//! match the values the arithmetic `wire_bytes()` accounting produced
-//! before the change. The constants below were captured from the
+//! match the values the arithmetic size formulas the codec replaced
+//! produced. The constants below were captured from the
 //! pre-codec engine (seed 42, chaos seed 5) and pin that equivalence
 //! bit-for-bit — state bytes now come from `frame.len()`, class bytes
 //! from the memoized size cache, and object bytes from
@@ -271,15 +271,15 @@ fn object_fleet_metrics_match_precodec_engine() {
     }
 }
 
-/// Same scenario, run twice: the pooled-buffer path must be a pure
-/// optimization — buffer reuse can never leak into observable state, so
-/// two runs in one process (warm pool vs cold pool) are identical.
+/// Same scenario, run twice in one process: nothing a first run leaves
+/// behind in the process (allocator state, warmed caches) may leak into
+/// observable state, so the two runs are identical.
 #[test]
 fn pooled_runs_are_reproducible() {
     let a = observe(&fleet(42, 10, CodeShipping::BundleTop, false));
     let b = observe(&fleet(42, 10, CodeShipping::BundleTop, false));
-    assert_eq!(a, b, "pool reuse leaked into observable metrics");
+    assert_eq!(a, b, "a repeated run diverged");
     let oa = observe(&object_fleet(7, 6, FetchPolicy::Deep, false));
     let ob = observe(&object_fleet(7, 6, FetchPolicy::Deep, false));
-    assert_eq!(oa, ob, "object batch pooling leaked into metrics");
+    assert_eq!(oa, ob, "a repeated object run diverged");
 }
